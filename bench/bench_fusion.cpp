@@ -18,9 +18,11 @@
 //                box (see meta.hw_threads) forcing 2 threads timeshares
 //                one core, so ratios <= 1 are expected and the threshold
 //                is left alone.
-//   channel_simd — ns per noise-channel pass (1q/2q depolarizing, thermal
-//                relaxation) over the superket, scalar vs AVX2 dispatch
-//                (rows appear only with the native kernels compiled in);
+//   channel_simd — ns per fused noise-channel block pass over the
+//                superket (kern::PairChannel: CX + 2q depolarizing, bare
+//                and carrying X-shaped pre-channels), scalar vs AVX2
+//                dispatch (rows appear only with the native kernels
+//                compiled in);
 //   plan_materialize — ns per CompiledProgram::compile (fusion walk +
 //                matrix products) vs materialize() of a prebuilt
 //                FusionPlan (products only): what the structural plan
@@ -55,7 +57,9 @@
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
 #include "sim/fusion.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
+#include "vqe/ansatz.hpp"
 
 namespace {
 
@@ -360,27 +364,31 @@ std::vector<FusionRow> run_channel_simd_section() {
     row.ns_new = native_ns;
     return row;
   };
-  const auto depol1_all = [](DensityMatrix& dm) {
-    for (int q = 0; q < dm.num_qubits(); ++q) {
-      const int one[] = {q};
-      dm.apply_depolarizing(0.01, one);
-    }
-  };
-  const auto depol2_chain = [](DensityMatrix& dm) {
-    for (int q = 0; q + 1 < dm.num_qubits(); ++q) {
-      const int two[] = {q, q + 1};
-      dm.apply_depolarizing(0.01, two);
-    }
-  };
-  const auto relax_all = [](DensityMatrix& dm) {
-    for (int q = 0; q < dm.num_qubits(); ++q) {
-      dm.apply_relaxation(q, 120.0, 85.0, 70.0);
-    }
+  kern::PairChannel cx_depol;
+  cx_depol.dst[2] = 3;
+  cx_depol.dst[3] = 2;
+  cx_depol.c1 = 1.0 - 0.01 * 16.0 / 15.0;
+  cx_depol.fill_scale = (1.0 - cx_depol.c1) * 0.25;
+  kern::PairChannel cx_depol_x = cx_depol;
+  cx_depol_x.pre = true;
+  for (kern::XShape* x : {&cx_depol_x.pre_hi, &cx_depol_x.pre_lo}) {
+    x->a03 = 0.01;
+    x->a33 = 0.99;
+    x->z01r = x->z10r = 0.98;
+    x->z01i = 0.05;
+    x->z10i = -0.05;
+  }
+  const auto chain = [](const kern::PairChannel& ch) {
+    return [&ch](DensityMatrix& dm) {
+      for (int q = 0; q + 1 < dm.num_qubits(); ++q) {
+        dm.apply_pair_channel(q, q + 1, ch);
+      }
+    };
   };
   for (const int n : {5, smoke_mode() ? 6 : 7}) {
-    rows.push_back(channel_row(n, "dm_depol1_all_qubits", depol1_all));
-    rows.push_back(channel_row(n, "dm_depol2_chain", depol2_chain));
-    rows.push_back(channel_row(n, "dm_relax_all_qubits", relax_all));
+    rows.push_back(channel_row(n, "dm_pair_cx_depol_chain", chain(cx_depol)));
+    rows.push_back(
+        channel_row(n, "dm_pair_cx_depol_xshape_chain", chain(cx_depol_x)));
   }
   return rows;
 }
@@ -664,10 +672,11 @@ void BM_IdealFused(benchmark::State& state) {
 }
 BENCHMARK(BM_IdealFused)->Arg(1)->Arg(7);
 
-// Noiseless density executor (ROADMAP (f)): per-op channel replay vs the
-// fused CompiledProgram stream the executor consumes when gate and idle
-// noise are both off. Same Backend (warm caches) on both sides so the
-// timer isolates the replay itself.
+// Noiseless density executor (ROADMAP (f)): the per-op reference replay
+// (execute_parallel_reference) vs the fused CompiledProgram stream the
+// executor consumes when gate and idle noise are both off. Same Backend
+// program cache and derived noise (warm) on both sides so the timer
+// isolates the replay itself.
 void noiseless_executor(benchmark::State& state, bool fuse) {
   const Device device = make_toronto27();
   Backend backend(device);
@@ -682,9 +691,13 @@ void noiseless_executor(benchmark::State& state, bool fuse) {
   opts.shots = 64;
   opts.gate_noise = false;
   opts.idle_noise = false;
-  opts.fuse_noiseless = fuse;
+  const std::shared_ptr<const CalibrationEpoch> epoch = backend.epoch();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.execute(progs, opts));
+    benchmark::DoNotOptimize(
+        fuse ? epoch->execute(progs, opts)
+             : execute_parallel_reference(epoch->device(), progs, opts,
+                                          nullptr, &epoch->program_cache(),
+                                          &epoch->derived_noise()));
   }
   state.SetLabel(spec.name);
 }
@@ -696,6 +709,64 @@ void BM_NoiselessExecutorFused(benchmark::State& state) {
 }
 BENCHMARK(BM_NoiselessExecutorPerOp)->Arg(1)->Arg(7);
 BENCHMARK(BM_NoiselessExecutorFused)->Arg(1)->Arg(7);
+
+// Noisy density executor: the per-op reference replay vs the fused noisy
+// stream (sim/noisy_stream.hpp), every noise source on, one program per
+// run, kernel_threads = 1. range(0): 0 = the sweep8 shape (8q RyRz x 3
+// under a Hadamard prefix, routed onto toronto27), 1 = GHZ-10.
+// range(1): 1 = dispatched (AVX2 where available), 0 = scalar fallback.
+void noisy_executor(benchmark::State& state, bool fuse) {
+  const Device device = make_toronto27();
+  Backend backend(device);
+  const int width = state.range(0) == 0 ? 8 : 10;
+  Circuit logical(width, width);
+  if (state.range(0) == 0) {
+    for (int q = 0; q < width; q += 2) logical.h(q);
+    std::vector<double> angles(
+        static_cast<std::size_t>(ansatz_parameter_count(width, 3)));
+    for (std::size_t i = 0; i < angles.size(); ++i) {
+      angles[i] = 0.05 + 0.37 * static_cast<double>(i);
+    }
+    logical.compose(make_ryrz_ansatz(width, 3, angles));
+  } else {
+    logical.h(0);
+    for (int q = 1; q < width; ++q) logical.cx(q - 1, q);
+  }
+  logical.measure_all();
+  const TranspiledProgram tp = transpile_to_partition(
+      logical, device, partition_candidates(device, width, {}).front());
+  std::vector<PhysicalProgram> progs;
+  progs.push_back({tp.physical, state.range(0) == 0 ? "sweep8" : "ghz10"});
+  ExecOptions opts;
+  opts.shots = 64;
+  opts.kernel_threads = 1;
+  const bool was = kern::native_kernels_active();
+  const bool native = state.range(1) != 0 && was;
+  kern::set_native_kernels(native);
+  const std::shared_ptr<const CalibrationEpoch> epoch = backend.epoch();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fuse ? epoch->execute(progs, opts)
+             : execute_parallel_reference(epoch->device(), progs, opts,
+                                          nullptr, &epoch->program_cache(),
+                                          &epoch->derived_noise()));
+  }
+  kern::set_native_kernels(was);
+  state.SetLabel(std::string(state.range(0) == 0 ? "sweep8" : "ghz10") +
+                 (native ? " native" : " scalar"));
+}
+void BM_NoisyExecutorPerOp(benchmark::State& state) {
+  noisy_executor(state, false);
+}
+void BM_NoisyExecutorFused(benchmark::State& state) {
+  noisy_executor(state, true);
+}
+BENCHMARK(BM_NoisyExecutorPerOp)
+    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NoisyExecutorFused)
+    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "circuit/gate.hpp"
 #include "common/strings.hpp"
 #include "sim/density.hpp"
+#include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -98,6 +100,65 @@ std::vector<KernelResult> run_density_suite(int n) {
     out.push_back({"density_relaxation", n, time_ns_per_op(reps, [&] {
                      dm.apply_relaxation(n / 2, 35.0, 80.0, 70.0);
                    })});
+  }
+  // The fused noisy stream's passes (sim/noisy_stream.hpp): a dense 1q
+  // superoperator (4 complex MACs per element), the CX + depolarizing
+  // block pass, and the same pass carrying X-shaped pre-channels on both
+  // operands. Each is timed on the dispatched kernels and again on the
+  // scalar fallback.
+  const kern::CompiledUnitary ry_super = [] {
+    const Matrix ry = gate_matrix(Gate{GateKind::RY, {0}, {0.7}, -1});
+    cx s[16];
+    for (int r = 0; r < 2; ++r) {
+      for (int rr = 0; rr < 2; ++rr) {
+        for (int c = 0; c < 2; ++c) {
+          for (int cc = 0; cc < 2; ++cc) {
+            s[(2 * r + rr) * 4 + (2 * c + cc)] =
+                ry(r, c) * std::conj(ry(rr, cc));
+          }
+        }
+      }
+    }
+    return kern::compile_unitary(std::span<const cx>(s, 16));
+  }();
+  kern::PairChannel pair;
+  pair.dst[2] = 3;
+  pair.dst[3] = 2;
+  pair.c1 = 1.0 - 0.02 * 16.0 / 15.0;
+  pair.fill_scale = (1.0 - pair.c1) * 0.25;
+  kern::PairChannel pair_x = pair;
+  pair_x.pre = true;
+  for (kern::XShape* x : {&pair_x.pre_hi, &pair_x.pre_lo}) {
+    x->a03 = 0.01;
+    x->a33 = 0.99;
+    x->z01r = x->z10r = 0.98;
+    x->z01i = 0.05;
+    x->z10i = -0.05;
+  }
+  const int hi = n - 1;
+  const int lo = (n - 1) / 2;
+  for (const bool native : {true, false}) {
+    const bool was = kern::native_kernels_active();
+    if (native && !was) continue;
+    kern::set_native_kernels(native);
+    const std::string suffix = native ? "" : "_scalar";
+    DensityMatrix dm(n);
+    dm.apply_unitary(h, q1);
+    out.push_back({"density_superop_dense_1q" + suffix, n,
+                   time_ns_per_op(reps, [&] {
+                     dm.apply_superop(n / 2, ry_super);
+                   })});
+    if (n >= 2) {
+      out.push_back({"density_pair_cx_depol" + suffix, n,
+                     time_ns_per_op(reps, [&] {
+                       dm.apply_pair_channel(hi, lo, pair);
+                     })});
+      out.push_back({"density_pair_cx_depol_xshape" + suffix, n,
+                     time_ns_per_op(reps, [&] {
+                       dm.apply_pair_channel(hi, lo, pair_x);
+                     })});
+    }
+    kern::set_native_kernels(was);
   }
   {
     DensityMatrix dm(n);
@@ -182,11 +243,11 @@ void print_kernel_grid() {
     all.insert(all.end(), rs.begin(), rs.end());
   }
 
-  bench::row({"kernel", "qubits", "ns/op"}, 26);
-  bench::rule(3, 26);
+  bench::row({"kernel", "qubits", "ns/op"}, 38);
+  bench::rule(3, 38);
   for (const KernelResult& r : all) {
     bench::row({r.kernel, std::to_string(r.qubits), fmt_double(r.ns_per_op, 1)},
-               26);
+               38);
   }
   write_json(all);
 }

@@ -10,11 +10,11 @@
 
 namespace qucp {
 
-DensityMatrix::DensityMatrix(int num_qubits)
-    : num_qubits_(num_qubits), dim_(std::size_t{1} << num_qubits) {
+DensityMatrix::DensityMatrix(int num_qubits) : num_qubits_(num_qubits) {
   if (num_qubits < 0 || num_qubits > 12) {
     throw std::invalid_argument("DensityMatrix: unsupported qubit count");
   }
+  dim_ = std::size_t{1} << num_qubits;
   rho_.assign(dim_ * dim_, cx{0.0, 0.0});
   rho_[0] = 1.0;
 }
@@ -125,7 +125,7 @@ void DensityMatrix::apply_depolarizing(double p, std::span<const int> qubits) {
   const double c1 = 1.0 - c2;
   const double inv_ldim = 1.0 / static_cast<double>(ldim);
 
-  // Fused single-pass updates for the only sizes the executor emits: each
+  // Fused single-pass updates for the sizes gate channels have: each
   // 2^k x 2^k local block needs only its own elements (trace of the local
   // diagonal, uniform contraction, refill), so no scratch or extra sweeps.
   if (k == 1) {
@@ -135,16 +135,6 @@ void DensityMatrix::apply_depolarizing(double p, std::span<const int> qubits) {
     const std::size_t mr = std::size_t{1} << pr;
     const std::size_t quads = (dim_ * dim_) >> 2;
     cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-    if (kern::native_kernels_active()) {
-      const double fill_scale = c2 * inv_ldim;
-      kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-        kern::detail::depol1_range_avx2(rho, begin, end, pc, pr, c1,
-                                        fill_scale);
-      });
-      return;
-    }
-#endif
     kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
         const std::size_t base =
@@ -174,16 +164,6 @@ void DensityMatrix::apply_depolarizing(double p, std::span<const int> qubits) {
     std::sort(positions, positions + 4);
     const std::size_t blocks = (dim_ * dim_) >> 4;
     cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-    if (kern::native_kernels_active()) {
-      const double fill_scale = c2 * inv_ldim;
-      kern::parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
-        kern::detail::depol2_range_avx2(rho, begin, end, positions, row_off,
-                                        col_off, c1, fill_scale);
-      });
-      return;
-    }
-#endif
     kern::parallel_for(blocks, [&](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
         std::size_t base = t;
@@ -295,10 +275,10 @@ void DensityMatrix::apply_kraus(std::span<const Matrix> kraus,
   rho_.swap(kraus_acc_);
 }
 
-void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
-                                     double t1_us, double t2_us) {
-  check_qubits(std::span<const int>(&qubit, 1));
-  if (duration_ns <= 0.0) return;
+RelaxationCoefficients RelaxationCoefficients::of(double duration_ns,
+                                                  double t1_us, double t2_us) {
+  RelaxationCoefficients rc;
+  if (duration_ns <= 0.0) return rc;
   if (t1_us <= 0.0 || t2_us <= 0.0) {
     throw std::invalid_argument("DensityMatrix: non-positive T1/T2");
   }
@@ -324,9 +304,19 @@ void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
     throw std::invalid_argument(
         "DensityMatrix: relaxation channel parameters outside [0,1]");
   }
-  const double keep = 1.0 - gamma;
-  const double decay = std::sqrt(std::max(0.0, 1.0 - gamma)) *
-                       std::sqrt(std::max(0.0, 1.0 - lambda));
+  rc.gamma = gamma;
+  rc.keep = 1.0 - gamma;
+  rc.decay = std::sqrt(std::max(0.0, 1.0 - gamma)) *
+             std::sqrt(std::max(0.0, 1.0 - lambda));
+  return rc;
+}
+
+void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
+                                     double t1_us, double t2_us) {
+  check_qubits(std::span<const int>(&qubit, 1));
+  if (duration_ns <= 0.0) return;
+  const auto [gamma, decay, keep] =
+      RelaxationCoefficients::of(duration_ns, t1_us, t2_us);
 
   const int pc = qubit;                // column bit position in the superket
   const int pr = qubit + num_qubits_;  // row bit position
@@ -334,15 +324,6 @@ void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
   const std::size_t mr = std::size_t{1} << pr;
   const std::size_t quads = (dim_ * dim_) >> 2;
   cx* rho = rho_.data();
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
-  if (kern::native_kernels_active()) {
-    kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
-      kern::detail::relax1_range_avx2(rho, begin, end, pc, pr, gamma, decay,
-                                      keep);
-    });
-    return;
-  }
-#endif
   kern::parallel_for(quads, [&](std::size_t begin, std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) {
       const std::size_t base = kern::insert_bit(kern::insert_bit(t, pc), pr);
@@ -353,6 +334,27 @@ void DensityMatrix::apply_relaxation(int qubit, double duration_ns,
       rho[base | mr | mc] = keep * p11;
     }
   });
+}
+
+void DensityMatrix::apply_superop(int qubit,
+                                  const kern::CompiledUnitary& superop) {
+  check_qubits(std::span<const int>(&qubit, 1));
+  if (superop.k != 2) {
+    throw std::invalid_argument("DensityMatrix: superoperator must be 4x4");
+  }
+  const int targets[2] = {qubit + num_qubits_, qubit};
+  kern::apply_compiled(std::span<cx>(rho_), 2 * num_qubits_, targets, superop);
+}
+
+void DensityMatrix::apply_pair_channel(int hi, int lo,
+                                       const kern::PairChannel& channel) {
+  const int qubits[2] = {hi, lo};
+  check_qubits(qubits);
+  if (hi == lo) {
+    throw std::invalid_argument("DensityMatrix: pair channel on one qubit");
+  }
+  const kern::PairGeometry geo(num_qubits_, hi, lo);
+  kern::apply_pair_channel(rho_.data(), (dim_ * dim_) >> 4, geo, channel);
 }
 
 std::vector<double> DensityMatrix::probabilities() const {

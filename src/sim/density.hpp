@@ -19,8 +19,22 @@
 #include "circuit/circuit.hpp"
 #include "common/matrix.hpp"
 #include "sim/counts.hpp"
+#include "sim/kernels.hpp"
 
 namespace qucp {
+
+/// Closed-form thermal relaxation of one qubit idling `duration_ns` (T1/T2
+/// in us): amplitude damping `gamma` then pure dephasing, acting on each
+/// 2x2 block as p00 += gamma p11, p01/p10 *= decay, p11 *= keep. Throws
+/// std::invalid_argument on non-positive T1/T2 or parameters outside
+/// [0, 1] (a NaN duration included). duration_ns <= 0 gives the identity.
+struct RelaxationCoefficients {
+  double gamma = 0.0;
+  double decay = 1.0;
+  double keep = 1.0;
+  [[nodiscard]] static RelaxationCoefficients of(double duration_ns,
+                                                 double t1_us, double t2_us);
+};
 
 class CompiledProgram;  // sim/fusion.hpp
 struct FusedOp;         // sim/fusion.hpp
@@ -70,6 +84,14 @@ class DensityMatrix {
   void apply_relaxation(int qubit, double duration_ns, double t1_us,
                         double t2_us);
 
+  /// A one-qubit superoperator compiled as a 4x4 on superket bits
+  /// (qubit + n, qubit), local index (row bit << 1) | column bit.
+  void apply_superop(int qubit, const kern::CompiledUnitary& superop);
+
+  /// One fused two-qubit block channel (kern::PairChannel) on operands
+  /// (hi, lo).
+  void apply_pair_channel(int hi, int lo, const kern::PairChannel& channel);
+
   /// Diagonal of rho (populations), clamped at 0.
   [[nodiscard]] std::vector<double> probabilities() const;
 
@@ -83,7 +105,7 @@ class DensityMatrix {
 
  private:
   int num_qubits_;
-  std::size_t dim_;
+  std::size_t dim_ = 0;
   std::vector<cx> rho_;  // row-major dim x dim, read as a superket
 
   // Reused scratch (grown on first use, never shrunk): generic-kernel

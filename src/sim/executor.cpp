@@ -11,8 +11,18 @@
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
 #include "sim/noise.hpp"
+#include "sim/noisy_stream.hpp"
 
 namespace qucp {
+
+DerivedNoise DerivedNoise::from(const Calibration& cal) {
+  DerivedNoise d;
+  d.cx_depol.reserve(cal.cx_error.size());
+  for (double err : cal.cx_error) d.cx_depol.push_back(depolarizing_param(err));
+  d.q1_depol.reserve(cal.q1_error.size());
+  for (double err : cal.q1_error) d.q1_depol.push_back(depolarizing_param(err));
+  return d;
+}
 
 namespace {
 
@@ -25,28 +35,20 @@ struct CxEvent {
   double gamma = 1.0;       // accumulated crosstalk multiplier
 };
 
-}  // namespace
+/// Everything a batch run derives before simulating: the compiled
+/// programs, their aligned schedules, the crosstalk gamma of every CX, and
+/// the report's batch-level fields.
+struct BatchPlan {
+  std::vector<std::shared_ptr<const CompiledExecutable>> compiled;
+  std::vector<Schedule> schedules;
+  std::vector<std::vector<double>> gamma_of;  ///< per (program, op)
+  ParallelRunReport report;                   ///< programs left empty
+};
 
-DerivedNoise DerivedNoise::from(const Calibration& cal) {
-  DerivedNoise d;
-  d.cx_depol.reserve(cal.cx_error.size());
-  for (double err : cal.cx_error) d.cx_depol.push_back(depolarizing_param(err));
-  d.q1_depol.reserve(cal.q1_error.size());
-  for (double err : cal.q1_error) d.q1_depol.push_back(depolarizing_param(err));
-  return d;
-}
-
-ParallelRunReport execute_parallel(const Device& device,
-                                   std::vector<PhysicalProgram> programs,
-                                   const ExecOptions& options,
-                                   GateMatrixCache* gate_cache,
-                                   const CompiledProgramCache* program_cache,
-                                   const DerivedNoise* derived) {
-  // Cap kernel-level threading for the whole run (scoped to this thread).
-  const kern::ParallelThreadsGuard thread_cap(options.kernel_threads);
-  // Callers without a long-lived cache still deduplicate within the run.
-  GateMatrixCache local_cache;
-  GateMatrixCache& matrices = gate_cache != nullptr ? *gate_cache : local_cache;
+BatchPlan plan_batch(const Device& device,
+                     const std::vector<PhysicalProgram>& programs,
+                     const ExecOptions& options, GateMatrixCache& matrices,
+                     const CompiledProgramCache* program_cache) {
   if (programs.empty()) {
     throw std::invalid_argument("execute_parallel: no programs");
   }
@@ -54,12 +56,13 @@ ParallelRunReport execute_parallel(const Device& device,
     throw std::invalid_argument("execute_parallel: shots <= 0");
   }
   const Topology& topo = device.topology();
-  const Calibration& cal = device.calibration();
 
   // Lower to CX basis and compile per-op kernels — through the Backend's
   // persistent cache when given, else per call — then validate qubit usage
   // and coupling against this device.
-  std::vector<std::shared_ptr<const CompiledExecutable>> compiled;
+  BatchPlan plan;
+  std::vector<std::shared_ptr<const CompiledExecutable>>& compiled =
+      plan.compiled;
   compiled.reserve(programs.size());
   std::set<int> all_used;
   for (const PhysicalProgram& prog : programs) {
@@ -90,7 +93,7 @@ ParallelRunReport execute_parallel(const Device& device,
   }
 
   // Schedule each program; align ALAP schedules to the common end time.
-  std::vector<Schedule> schedules;
+  std::vector<Schedule>& schedules = plan.schedules;
   double global_makespan = 0.0;
   for (const auto& exe : compiled) {
     schedules.push_back(
@@ -251,127 +254,160 @@ ParallelRunReport execute_parallel(const Device& device,
     }
   }
   // Index the amplified gamma per (program, op): flat per-op vectors.
-  std::vector<std::vector<double>> gamma_of(programs.size());
+  std::vector<std::vector<double>>& gamma_of = plan.gamma_of;
+  gamma_of.resize(programs.size());
   for (std::size_t p = 0; p < compiled.size(); ++p) {
     gamma_of[p].assign(compiled[p]->lowered().size(), 1.0);
   }
   for (const CxEvent& ev : events) gamma_of[ev.program][ev.op] = ev.gamma;
 
-  // Simulate each program's partition.
-  Rng rng(options.seed);
-  ParallelRunReport report;
+  ParallelRunReport& report = plan.report;
   report.makespan_ns = global_makespan;
   report.crosstalk_events = crosstalk_events;
   report.max_gamma_applied = max_gamma;
   report.qubits_used = static_cast<int>(all_used.size());
   report.throughput =
       static_cast<double>(all_used.size()) / device.num_qubits();
+  return plan;
+}
 
-  // Flat device-indexed bookkeeping, reused across programs.
-  std::vector<int> local_of(device.num_qubits(), -1);
+/// Program `p`'s static noisy channel sequence on local qubits: ops in
+/// schedule order (stable on op index), each preceded by relaxation over
+/// its operands' idle gaps and followed by its depolarizing channel.
+std::vector<NoisyChannel> program_channels(const BatchPlan& plan,
+                                           std::size_t p,
+                                           const std::vector<int>& local_of,
+                                           const Device& device,
+                                           const ExecOptions& options,
+                                           const DerivedNoise* derived) {
+  const Circuit& circ = plan.compiled[p]->lowered();
+  const std::vector<FusedOp>& kernels = plan.compiled[p]->channels();
+  const Schedule& schedule = plan.schedules[p];
+  const Calibration& cal = device.calibration();
+  const Topology& topo = device.topology();
+
+  std::vector<std::size_t> order(circ.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return schedule.ops[x].start_ns < schedule.ops[y].start_ns;
+                   });
+
   std::vector<double> busy_until(device.num_qubits(), 0.0);
+  std::vector<NoisyChannel> channels;
+  channels.reserve(3 * circ.size());
+  for (std::size_t idx : order) {
+    const Gate& g = circ.ops()[idx];
+    const ScheduledOp& so = schedule.ops[idx];
+    if (g.kind == GateKind::Barrier) continue;
+    for (int q : g.qubits) {
+      const double gap = so.start_ns - busy_until[q];
+      if (options.idle_noise && gap > 1e-9) {
+        NoisyChannel relax;
+        relax.kind = NoisyChannel::Kind::kRelaxation;
+        relax.q[0] = local_of[q];
+        relax.param = gap;
+        relax.t1_us = cal.t1_us[q];
+        relax.t2_us = cal.t2_us[q];
+        channels.push_back(relax);
+      }
+      busy_until[q] = so.end_ns;
+    }
+    if (g.kind == GateKind::Measure) continue;
+    NoisyChannel gate;
+    gate.op = &kernels[idx];
+    for (std::size_t i = 0; i < g.qubits.size(); ++i) {
+      gate.q[i] = local_of[g.qubits[i]];
+    }
+    channels.push_back(gate);
+    if (!options.gate_noise) continue;
+    NoisyChannel depol = gate;
+    depol.kind = NoisyChannel::Kind::kDepolarizing;
+    depol.op = nullptr;
+    if (g.kind == GateKind::CX) {
+      const double gamma = plan.gamma_of[p][idx];
+      const int edge = *topo.edge_index(g.qubits[0], g.qubits[1]);
+      // x * 1.0 == x bitwise for every finite error rate, so the
+      // epoch-precomputed parameter is exact for unamplified gates.
+      depol.param = (derived != nullptr && gamma == 1.0)
+                        ? derived->cx_depol[static_cast<std::size_t>(edge)]
+                        : depolarizing_param(cal.cx_error[edge] * gamma);
+    } else {
+      depol.param =
+          derived != nullptr
+              ? derived->q1_depol[static_cast<std::size_t>(g.qubits[0])]
+              : depolarizing_param(cal.q1_error[g.qubits[0]]);
+    }
+    channels.push_back(depol);
+  }
+  return channels;
+}
 
-  // No gate channels and no idle channels means the evolution is purely
-  // unitary (crosstalk only amplifies gate depolarizing, and readout error
-  // applies to the measurement probabilities afterwards), so each program
-  // can replay its *fused* kernel stream instead of stepping gate by gate
-  // — ROADMAP item (f), ~2x on noiseless density runs. Agreement with the
-  // per-op walk is pinned at <= 1e-10 by tests/test_fusion.cpp.
-  const bool fused_noiseless =
-      options.fuse_noiseless && !options.gate_noise && !options.idle_noise;
+/// The shared driver of execute_parallel (fused streams) and
+/// execute_parallel_reference (per-op replay of the same channels).
+ParallelRunReport run_batch(const Device& device,
+                            std::vector<PhysicalProgram> programs,
+                            const ExecOptions& options,
+                            GateMatrixCache* gate_cache,
+                            const CompiledProgramCache* program_cache,
+                            const DerivedNoise* derived, bool fused) {
+  // Cap kernel-level threading for the whole run (scoped to this thread).
+  const kern::ParallelThreadsGuard thread_cap(options.kernel_threads);
+  // Callers without a long-lived cache still deduplicate within the run.
+  GateMatrixCache local_cache;
+  GateMatrixCache& matrices = gate_cache != nullptr ? *gate_cache : local_cache;
+  BatchPlan plan =
+      plan_batch(device, programs, options, matrices, program_cache);
+  const Calibration& cal = device.calibration();
+  Rng rng(options.seed);
+  ParallelRunReport report = std::move(plan.report);
 
-  for (std::size_t p = 0; p < compiled.size(); ++p) {
-    const Circuit& circ = compiled[p]->lowered();
-    const std::vector<FusedOp>& channels = compiled[p]->channels();
+  // No gate and no idle channels leave a purely unitary evolution
+  // (crosstalk only amplifies gate depolarizing, and readout error applies
+  // to the measurement probabilities afterwards), so the fused path replays
+  // the executable's fused CompiledProgram stream.
+  const bool noiseless = !options.gate_noise && !options.idle_noise;
+
+  std::vector<int> local_of(device.num_qubits(), -1);
+  for (std::size_t p = 0; p < plan.compiled.size(); ++p) {
+    const Circuit& circ = plan.compiled[p]->lowered();
     const std::vector<int> active = circ.active_qubits();
     for (std::size_t i = 0; i < active.size(); ++i) {
       local_of[active[i]] = static_cast<int>(i);
-      busy_until[active[i]] = 0.0;
     }
-    DensityMatrix dm(static_cast<int>(active.size()));
-
     std::vector<std::pair<int, int>> measurements;  // (device qubit, clbit)
-
-    if (fused_noiseless) {
-      // The executable carries the fused compilation of its compacted
-      // lowered circuit (active qubit i = local bit i — exactly the
-      // local_of mapping the measurement packing below relies on), so a
-      // cached program replays with zero per-call compilation work.
-      dm.run(compiled[p]->fused_compacted());
-      for (const Gate& g : circ.ops()) {
-        if (g.kind == GateKind::Measure) {
-          measurements.emplace_back(g.qubits[0], g.clbit);
-        }
-      }
-    } else {
-      // Process ops in time order (stable on op index for ties).
-      std::vector<std::size_t> order(circ.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         return schedules[p].ops[x].start_ns <
-                                schedules[p].ops[y].start_ns;
-                       });
-
-      auto apply_idle = [&](int q, double until_ns) {
-        if (!options.idle_noise) return;
-        const double gap = until_ns - busy_until[q];
-        if (gap > 1e-9) {
-          dm.apply_relaxation(local_of[q], gap, cal.t1_us[q], cal.t2_us[q]);
-        }
-      };
-
-      int local[4];
-      for (std::size_t idx : order) {
-        const Gate& g = circ.ops()[idx];
-        const ScheduledOp& so = schedules[p].ops[idx];
-        if (g.kind == GateKind::Barrier) continue;
-        for (int q : g.qubits) {
-          apply_idle(q, so.start_ns);
-          busy_until[q] = so.end_ns;
-        }
-        if (g.kind == GateKind::Measure) {
-          measurements.emplace_back(g.qubits[0], g.clbit);
-          continue;
-        }
-        const std::size_t width = g.qubits.size();
-        for (std::size_t i = 0; i < width; ++i) {
-          local[i] = local_of[g.qubits[i]];
-        }
-        const std::span<const int> local_span(local, width);
-        dm.apply_compiled(channels[idx], local_span);
-        if (!options.gate_noise) continue;
-        if (g.kind == GateKind::CX) {
-          const double gamma = gamma_of[p][idx];
-          const int edge = *topo.edge_index(g.qubits[0], g.qubits[1]);
-          // x * 1.0 == x bitwise for every finite error rate, so the
-          // epoch-precomputed parameter is exact for unamplified gates.
-          const double param =
-              (derived != nullptr && gamma == 1.0)
-                  ? derived->cx_depol[static_cast<std::size_t>(edge)]
-                  : depolarizing_param(cal.cx_error[edge] * gamma);
-          dm.apply_depolarizing(param, local_span);
-        } else {
-          const double param =
-              derived != nullptr
-                  ? derived->q1_depol[static_cast<std::size_t>(g.qubits[0])]
-                  : depolarizing_param(cal.q1_error[g.qubits[0]]);
-          dm.apply_depolarizing(param, local_span);
-        }
+    for (const Gate& g : circ.ops()) {
+      if (g.kind == GateKind::Measure) {
+        measurements.emplace_back(g.qubits[0], g.clbit);
       }
     }
-
     if (measurements.empty()) {
       throw std::invalid_argument("execute_parallel: program '" +
                                   programs[p].name +
                                   "' has no measurements");
     }
+
+    const int n = static_cast<int>(active.size());
+    std::vector<double> local_probs;
+    if (fused && noiseless) {
+      // The executable carries the fused compilation of its compacted
+      // lowered circuit (active qubit i = local bit i — exactly the
+      // local_of mapping the measurement packing below relies on).
+      DensityMatrix dm(n);
+      dm.run(plan.compiled[p]->fused_compacted());
+      local_probs = dm.probabilities();
+    } else {
+      const std::vector<NoisyChannel> channels =
+          program_channels(plan, p, local_of, device, options, derived);
+      local_probs = fused ? NoisyStream::build(n, channels).run()
+                          : replay_channels(n, channels);
+    }
+
     // Sort by clbit so bit j of the packed index is measurement j.
     std::sort(measurements.begin(), measurements.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
     const std::size_t m = measurements.size();
     std::vector<double> meas_probs(std::size_t{1} << m, 0.0);
-    const std::vector<double> local_probs = dm.probabilities();
     for (std::size_t basis = 0; basis < local_probs.size(); ++basis) {
       if (local_probs[basis] < 1e-15) continue;
       std::size_t packed = 0;
@@ -411,6 +447,26 @@ ParallelRunReport execute_parallel(const Device& device,
     report.programs.push_back(std::move(outcome));
   }
   return report;
+}
+
+}  // namespace
+
+ParallelRunReport execute_parallel(const Device& device,
+                                   std::vector<PhysicalProgram> programs,
+                                   const ExecOptions& options,
+                                   GateMatrixCache* gate_cache,
+                                   const CompiledProgramCache* program_cache,
+                                   const DerivedNoise* derived) {
+  return run_batch(device, std::move(programs), options, gate_cache,
+                   program_cache, derived, /*fused=*/true);
+}
+
+ParallelRunReport execute_parallel_reference(
+    const Device& device, std::vector<PhysicalProgram> programs,
+    const ExecOptions& options, GateMatrixCache* gate_cache,
+    const CompiledProgramCache* program_cache, const DerivedNoise* derived) {
+  return run_batch(device, std::move(programs), options, gate_cache,
+                   program_cache, derived, /*fused=*/false);
 }
 
 ProgramOutcome execute_single(const Device& device,

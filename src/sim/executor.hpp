@@ -51,15 +51,6 @@ struct ExecOptions {
   /// concurrent batch workers cannot oversubscribe the machine N-fold.
   int kernel_threads = 0;
 
-  /// When gate_noise and idle_noise are both off there are no per-op
-  /// channels to interleave, so the executor replays each program's fused
-  /// CompiledProgram stream (sim/fusion.hpp) instead of stepping gate by
-  /// gate (~2x on noiseless density runs; agreement with the per-op replay
-  /// is pinned at <= 1e-10 by tests/test_fusion.cpp). Readout error,
-  /// sampling seeds and all reporting are unaffected. Set false to force
-  /// the per-op path (A/B testing, debugging).
-  bool fuse_noiseless = true;
-
   /// Software crosstalk mitigation by instruction scheduling (Murali et
   /// al., the alternative to QuCP's avoidance): delay whole programs until
   /// no one-hop CX pairs overlap in time. With `serialize_hints` set only
@@ -111,10 +102,25 @@ struct ParallelRunReport {
 /// compilation happens per call. `derived` (optional) supplies the
 /// calibration-derived depolarizing parameters precomputed for this
 /// device's calibration snapshot — it must have been built from exactly
-/// device.calibration(). Either way every gate replays through a
-/// precompiled kernel, with noise channels interleaved exactly as the
-/// uncompiled path did — results are bit-identical.
+/// device.calibration(); the results are bit-identical either way.
+///
+/// Each program's noise (gate depolarizing with crosstalk gamma, idle
+/// relaxation, gates) becomes a static channel list once the batch is
+/// scheduled, and simulates as a fused NoisyStream (sim/noisy_stream.hpp).
+/// With gate_noise and idle_noise both off the evolution is unitary and
+/// replays the program's fused CompiledProgram stream (sim/fusion.hpp).
+/// Results are bit-identical for any kernel_threads.
 [[nodiscard]] ParallelRunReport execute_parallel(
+    const Device& device, std::vector<PhysicalProgram> programs,
+    const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,
+    const CompiledProgramCache* program_cache = nullptr,
+    const DerivedNoise* derived = nullptr);
+
+/// The per-op reference for execute_parallel: the same schedule and the
+/// same channel lists, replayed one DensityMatrix call per channel
+/// (noiseless runs included). Agrees with execute_parallel to <= 1e-10
+/// (tests/test_fusion.cpp); slower, and meant for tests and benches.
+[[nodiscard]] ParallelRunReport execute_parallel_reference(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,
     const CompiledProgramCache* program_cache = nullptr,

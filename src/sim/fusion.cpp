@@ -315,7 +315,7 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
   // atomic). The AVX2 products are ~1 ulp from the scalar chain (FMA
   // contraction), matching the dense-kernel dispatch contract; callers
   // that need the exact scalar stream use set_native_kernels(false).
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   const bool native = kern::native_kernels_active();
 #else
   constexpr bool native = false;
@@ -337,7 +337,7 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
       }
       case FusionPlan::Op::kLift1Mul: {
         const cx* u = step_matrix(circuit.ops()[s.gate], ubuf);
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
         if (native) {
           kern::detail::lift_mul4_avx2(m, u, s.flag);
           break;
@@ -355,7 +355,7 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
       }
       case FusionPlan::Op::kMul2: {
         const cx* u = step_matrix(circuit.ops()[s.gate], ubuf);
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
         if (native) {
           if (s.flag) {
             kern::detail::swap_mul4_avx2(m, u);
@@ -375,7 +375,7 @@ CompiledProgram CompiledProgram::materialize(const FusionPlan& plan,
         break;
       }
       case FusionPlan::Op::kAbsorb: {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
         if (native) {
           kern::detail::mul4_lift_avx2(m, scratch[s.src].data(), s.flag);
           break;

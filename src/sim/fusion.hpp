@@ -36,11 +36,11 @@
 //
 // CompiledExecutable is the unfused sibling for the noisy executor: the
 // CX-lowered circuit plus per-op precompiled kernels (including the
-// superket forms DensityMatrix needs), replayed gate by gate so noise
-// channels interleave exactly as before — arithmetic identical to the
-// uncompiled path bit for bit. CompiledProgramCache memoizes both per
-// circuit fingerprint and lives on a Backend next to GateMatrixCache and
-// CandidateIndex.
+// superket forms DensityMatrix needs), which the executor's per-program
+// noisy channel lists point at (sim/noisy_stream.hpp) — arithmetic
+// identical to the uncompiled path bit for bit when replayed per op.
+// CompiledProgramCache memoizes both per circuit fingerprint and lives on
+// a Backend next to GateMatrixCache and CandidateIndex.
 
 #include <cstdint>
 #include <deque>
@@ -183,13 +183,11 @@ class CompiledProgram {
 
 /// A physical program compiled for the noisy executor: lowered to the CX
 /// basis once, with per-op kernels precompiled and aligned 1:1 with
-/// `lowered.ops()` (non-unitary positions hold placeholder entries).
-/// Replay is gate by gate — no fusion — so interleaved noise channels see
-/// exactly the state they saw before compilation existed. The fused
-/// compilation of the compacted lowered circuit rides along for the
-/// executor's noiseless fast path (gate_noise and idle_noise both off),
-/// so a cached executable answers both replay styles without per-call
-/// recompaction.
+/// `lowered.ops()` (non-unitary positions hold placeholder entries). The
+/// executor's noisy channel lists reference these per-op kernels; the
+/// fused compilation of the compacted lowered circuit rides along for
+/// noiseless runs (gate_noise and idle_noise both off), so a cached
+/// executable answers both without per-call recompaction.
 class CompiledExecutable {
  public:
   [[nodiscard]] static CompiledExecutable compile(

@@ -14,9 +14,9 @@ namespace {
 /// ExecutionService worker caps its own kernel fan-out independently.
 thread_local int t_parallel_threads_override = 0;
 
-/// Process-wide runtime switch for the native dense kernels. Starts from
-/// the QUCP_NATIVE_KERNELS environment variable ("0" disables) so one
-/// binary can be A/B'd without recompiling.
+/// Process-wide runtime switch for the native kernels. Starts from the
+/// QUCP_NATIVE_KERNELS environment variable ("0" disables) so one binary
+/// can be A/B'd, and its scalar fallback tested, without recompiling.
 std::atomic<bool>& native_enabled_flag() noexcept {
   static std::atomic<bool> flag{[] {
     const char* env = std::getenv("QUCP_NATIVE_KERNELS");
@@ -47,7 +47,7 @@ CpuFeatures detect_cpu_features() noexcept {
 }
 
 bool native_kernels_compiled() noexcept {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   return true;
 #else
   return false;
@@ -207,7 +207,7 @@ void dense1_range_scalar(cx* a, std::size_t begin, std::size_t end, int target,
 
 void run_dense1(cx* a, std::size_t pairs, int target, std::size_t mask,
                 const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   if (native_kernels_active()) {
     parallel_for(pairs, [&](std::size_t begin, std::size_t end) {
       detail::dense1_range_avx2(a, begin, end, target, mask, cu);
@@ -242,7 +242,7 @@ void run_swap_perm(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
 
 void run_diag2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
                std::size_t ml, const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   if (native_kernels_active()) {
     parallel_for(quads, [&](std::size_t begin, std::size_t end) {
       detail::diag2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
@@ -265,7 +265,7 @@ void run_diag2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
 
 void run_perm2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
                std::size_t ml, const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   if (native_kernels_active()) {
     parallel_for(quads, [&](std::size_t begin, std::size_t end) {
       detail::perm2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
@@ -315,7 +315,7 @@ void dense2_range_scalar(cx* a, std::size_t begin, std::size_t end,
 
 void run_dense2(cx* a, std::size_t quads, int p0, int p1, std::size_t mh,
                 std::size_t ml, const CompiledUnitary& cu) {
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
   if (native_kernels_active()) {
     parallel_for(quads, [&](std::size_t begin, std::size_t end) {
       detail::dense2_range_avx2(a, begin, end, mh, ml, p0, p1, cu);
@@ -438,6 +438,106 @@ void apply_compiled(std::span<cx> amps, int n, std::span<const int> targets,
       run_dense2(a, quads, p0, p1, mh, ml, cu);
       return;
   }
+}
+
+PairGeometry::PairGeometry(int n, int hi, int lo) {
+  assert(hi != lo);
+  for (std::size_t s = 0; s < 4; ++s) {
+    col_off[s] = ((s >> 1) ? (std::size_t{1} << hi) : 0) |
+                 ((s & 1) ? (std::size_t{1} << lo) : 0);
+    row_off[s] = col_off[s] << n;
+  }
+  positions[0] = hi;
+  positions[1] = lo;
+  positions[2] = hi + n;
+  positions[3] = lo + n;
+  std::sort(positions, positions + 4);
+}
+
+namespace {
+
+/// (e00, e01, e10, e11) through an X-shaped superoperator, as doubles in
+/// the same operation order as the AVX2 body.
+inline void xshape_group(cx& e00, cx& e01, cx& e10, cx& e11, const XShape& x) {
+  const cx p00{x.a00 * e00.real() + x.a03 * e11.real(),
+               x.a00 * e00.imag() + x.a03 * e11.imag()};
+  const cx p11{x.a30 * e00.real() + x.a33 * e11.real(),
+               x.a30 * e00.imag() + x.a33 * e11.imag()};
+  e01 = cx{x.z01r * e01.real() - x.z01i * e01.imag(),
+           x.z01r * e01.imag() + x.z01i * e01.real()};
+  e10 = cx{x.z10r * e10.real() - x.z10i * e10.imag(),
+           x.z10r * e10.imag() + x.z10i * e10.real()};
+  e00 = p00;
+  e11 = p11;
+}
+
+void pair_range_scalar(cx* rho, std::size_t begin, std::size_t end,
+                       const PairGeometry& geo, const PairChannel& ch) {
+  std::size_t src_off[16];
+  std::size_t dst_off[16];
+  for (int i = 0; i < 16; ++i) {
+    src_off[i] = geo.row_off[i >> 2] + geo.col_off[i & 3];
+    dst_off[i] = geo.row_off[ch.dst[i >> 2]] + geo.col_off[ch.dst[i & 3]];
+  }
+  for (std::size_t t = begin; t < end; ++t) {
+    std::size_t base = t;
+    for (int j = 0; j < 4; ++j) base = insert_bit(base, geo.positions[j]);
+    // w[sr * 4 + sc]: local element (row value sr, column value sc).
+    cx w[16];
+    for (int i = 0; i < 16; ++i) w[i] = rho[base + src_off[i]];
+    if (ch.pre) {
+      for (int rb = 0; rb < 2; ++rb) {
+        for (int cb = 0; cb < 2; ++cb) {
+          xshape_group(w[rb * 4 + cb], w[rb * 4 + 2 + cb],
+                       w[(2 + rb) * 4 + cb], w[(2 + rb) * 4 + 2 + cb],
+                       ch.pre_hi);
+        }
+      }
+      for (int ra = 0; ra < 2; ++ra) {
+        for (int ca = 0; ca < 2; ++ca) {
+          xshape_group(w[8 * ra + 2 * ca], w[8 * ra + 2 * ca + 1],
+                       w[8 * ra + 4 + 2 * ca], w[8 * ra + 4 + 2 * ca + 1],
+                       ch.pre_lo);
+        }
+      }
+    }
+    const cx traced = ((w[0] + w[5]) + w[10]) + w[15];
+    const cx fill{ch.fill_scale * traced.real(), ch.fill_scale * traced.imag()};
+    // The basis permutation maps the local diagonal onto itself, so the
+    // refill lands on the images of the input diagonal.
+    for (int i = 0; i < 16; ++i) {
+      cx v{ch.c1 * w[i].real(), ch.c1 * w[i].imag()};
+      if (i % 5 == 0) v += fill;
+      rho[base + dst_off[i]] = v;
+    }
+  }
+}
+
+}  // namespace
+
+void apply_pair_channel(cx* rho, std::size_t blocks, const PairGeometry& geo,
+                        const PairChannel& ch) {
+  // A block is 16 elements and a gather/scatter pass, so split from 2^18
+  // superket elements (9 qubits); the 4-element quad kernels split from
+  // 2^19.
+  constexpr std::size_t kBlockGrain = kParallelGrain >> 3;
+#if defined(QUCP_AVX2_KERNELS)
+  if (native_kernels_active()) {
+    parallel_for(
+        blocks,
+        [&](std::size_t begin, std::size_t end) {
+          detail::pair_range_avx2(rho, begin, end, geo, ch);
+        },
+        kBlockGrain);
+    return;
+  }
+#endif
+  parallel_for(
+      blocks,
+      [&](std::size_t begin, std::size_t end) {
+        pair_range_scalar(rho, begin, end, geo, ch);
+      },
+      kBlockGrain);
 }
 
 void apply1(std::span<cx> amps, [[maybe_unused]] int n, int target,

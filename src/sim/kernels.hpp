@@ -40,8 +40,8 @@ struct CpuFeatures {
 /// Probe the executing CPU (not the compile target) for AVX2/FMA.
 [[nodiscard]] CpuFeatures detect_cpu_features() noexcept;
 
-/// True when this binary carries the AVX2/FMA dense-kernel variants
-/// (built with the QUCP_NATIVE_KERNELS CMake option).
+/// True when this binary carries the AVX2/FMA kernel variants: every
+/// x86-64 build whose compiler accepts -march=x86-64-v3.
 [[nodiscard]] bool native_kernels_compiled() noexcept;
 
 /// True when dense 1q/2q kernels currently dispatch to the AVX2/FMA
@@ -89,19 +89,22 @@ class ParallelThreadsGuard {
 };
 
 /// Run fn(begin, end) over [0, count), split across up to
-/// parallel_threads() workers when count is large. fn must be race-free on
-/// disjoint ranges. Threads are joined before returning.
+/// parallel_threads() workers when count is at least 2 * grain (kernels
+/// whose iterations are heavier than one element pass a smaller grain).
+/// fn must be race-free on disjoint ranges. Threads are joined before
+/// returning.
 template <typename F>
-void parallel_for(std::size_t count, F&& fn) {
+void parallel_for(std::size_t count, F&& fn,
+                  std::size_t grain = kParallelGrain) {
   const auto max_workers = static_cast<std::size_t>(parallel_threads());
-  if (count < 2 * kParallelGrain || max_workers <= 1) {
+  if (count < 2 * grain || max_workers <= 1) {
     fn(std::size_t{0}, count);
     return;
   }
   // Both operands are >= 2 here (count >= 2 * grain and max_workers >= 2),
   // so the chunk math below never divides by zero or strands elements.
   const std::size_t num_chunks =
-      std::min<std::size_t>(max_workers, count / kParallelGrain);
+      std::min<std::size_t>(max_workers, count / grain);
   const std::size_t chunk = (count + num_chunks - 1) / num_chunks;
   std::vector<std::thread> workers;
   workers.reserve(num_chunks - 1);
@@ -178,12 +181,58 @@ void apply_unitary(std::span<cx> amps, int n, std::span<const int> targets,
                    std::span<const cx> u, bool conjugate,
                    std::vector<cx>& scratch);
 
+/// A one-qubit density superoperator of "X shape" on superket bits
+/// (q + n, q): the populations mix only with each other through real
+/// coefficients and each coherence is scaled on its own,
+///   p00' = a00 p00 + a03 p11,   p01' = z01 p01,
+///   p11' = a30 p00 + a33 p11,   p10' = z10 p10.
+/// Thermal relaxation, depolarizing and diagonal unitaries all have this
+/// shape, and it is closed under composition.
+struct XShape {
+  double a00 = 1.0, a03 = 0.0, a30 = 0.0, a33 = 1.0;
+  double z01r = 1.0, z01i = 0.0, z10r = 1.0, z10i = 0.0;
+};
+
+/// One fused two-qubit block channel on a density superket, for operands
+/// (hi, lo) with local value s = (bit_hi << 1) | bit_lo: optional X-shaped
+/// pre-channels on both operands, then a permutation of the operand pair's
+/// basis states (s -> dst[s], a product of CX gates), then the uniform
+/// two-qubit depolarizing contraction rho -> c1 rho + (1 - c1) tr_local(rho)
+/// (x) I/4. Depolarizing commutes with any unitary on its own operands, so
+/// a run of CX gates with their depolarizing channels folds into one pass.
+struct PairChannel {
+  int dst[4] = {0, 1, 2, 3};
+  double c1 = 1.0;
+  double fill_scale = 0.0;  ///< (1 - c1) / 4
+  bool pre = false;         ///< apply pre_hi / pre_lo first
+  XShape pre_hi;
+  XShape pre_lo;
+};
+
+/// Superket geometry of a PairChannel on an n-qubit density matrix: the
+/// four target bit positions ascending, and the per-local-value offsets of
+/// the row (q + n) and column (q) bits.
+struct PairGeometry {
+  int positions[4] = {};
+  std::size_t row_off[4] = {};
+  std::size_t col_off[4] = {};
+
+  PairGeometry(int n, int hi, int lo);
+};
+
+/// Apply `ch` to every 16-element block of the superket `rho` (length
+/// 4^n, geometry `geo`): one gather, the pre-channels, the permutation and
+/// the depolarizing refill, one scatter. Blockwise with no cross-block
+/// reduction, so the result does not depend on how parallel_for splits it.
+void apply_pair_channel(cx* rho, std::size_t blocks, const PairGeometry& geo,
+                        const PairChannel& ch);
+
 namespace detail {
 
 // Internal range bodies of the dense 1q/2q kernels, dispatched per CPU.
-// The _avx2 variants live in kernels_avx2.cpp, compiled for x86-64-v3 only
-// under the QUCP_NATIVE_KERNELS CMake option and only ever called after a
-// cpuid check; the scalar bodies in kernels.cpp are the portable fallback.
+// The _avx2 variants live in kernels_avx2.cpp, compiled for x86-64-v3 on
+// every x86-64 build and only ever called after a cpuid check; the scalar
+// bodies in kernels.cpp are the portable fallback.
 void dense1_range_avx2(cx* a, std::size_t begin, std::size_t end, int target,
                        std::size_t mask, const CompiledUnitary& cu);
 void dense2_range_avx2(cx* a, std::size_t begin, std::size_t end,
@@ -196,18 +245,9 @@ void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
                       std::size_t mh, std::size_t ml, int p0, int p1,
                       const CompiledUnitary& cu);
 
-// Range bodies of DensityMatrix's fused noise-channel updates (real-scalar
-// scaling of superket elements — no complex products, so these vectorize
-// into pure mul/add streams). `pc`/`pr` are the column/row superket bit
-// positions of the target qubit; `fill_scale` folds c2 * inv_ldim.
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double c1, double fill_scale);
-void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const int* positions, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale);
-void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double gamma, double decay, double keep);
+// Range body of the fused pair channel (apply_pair_channel).
+void pair_range_avx2(cx* rho, std::size_t begin, std::size_t end,
+                     const PairGeometry& geo, const PairChannel& ch);
 
 // 4x4 complex matrix products for FusionPlan::materialize's per-binding
 // block assembly (sim/fusion.cpp) — the matmul chain an angle sweep replays

@@ -1,8 +1,9 @@
 // AVX2/FMA variants of the dense 1q/2q kernel range bodies.
 //
-// This TU is compiled with -march=x86-64-v3 when the QUCP_NATIVE_KERNELS
-// CMake option is ON and contributes nothing otherwise, so the library
-// builds identically on toolchains/targets without AVX2. The functions
+// This TU is compiled with -march=x86-64-v3 (and -ffp-contract=off) on
+// every x86-64 build whose compiler accepts the flag, and contributes
+// nothing elsewhere, so the library builds identically on toolchains and
+// targets without AVX2. The functions
 // here are only ever reached through the runtime dispatch in kernels.cpp
 // (cpuid-gated via native_kernels_active()), so one binary serves both
 // ISAs with a scalar fallback.
@@ -19,7 +20,7 @@
 
 #include "sim/kernels.hpp"
 
-#if defined(QUCP_NATIVE_KERNELS) && (defined(__x86_64__) || defined(__i386__))
+#if defined(QUCP_AVX2_KERNELS)
 
 #include <immintrin.h>
 
@@ -28,15 +29,27 @@ namespace qucp::kern::detail {
 namespace {
 
 /// One (i0, i1) pair through the 2x2, used for loop heads/tails where the
-/// two-pair vector body cannot engage.
+/// two-pair vector body cannot engage. Same FMA/addsub sequence as that
+/// body on 128-bit lanes, so a pair rounds alike on either path.
 inline void dense1_one_pair(cx* a, std::size_t i0, std::size_t i1,
                             const CompiledUnitary& cu) {
-  const double a0r = a[i0].real(), a0i = a[i0].imag();
-  const double a1r = a[i1].real(), a1i = a[i1].imag();
-  a[i0] = cx{cu.re[0] * a0r - cu.im[0] * a0i + cu.re[1] * a1r - cu.im[1] * a1i,
-             cu.re[0] * a0i + cu.im[0] * a0r + cu.re[1] * a1i + cu.im[1] * a1r};
-  a[i1] = cx{cu.re[2] * a0r - cu.im[2] * a0i + cu.re[3] * a1r - cu.im[3] * a1i,
-             cu.re[2] * a0i + cu.im[2] * a0r + cu.re[3] * a1i + cu.im[3] * a1r};
+  double* const p0 = reinterpret_cast<double*>(a + i0);
+  double* const p1 = reinterpret_cast<double*>(a + i1);
+  const __m128d x0 = _mm_loadu_pd(p0);
+  const __m128d x1 = _mm_loadu_pd(p1);
+  const __m128d x0s = _mm_permute_pd(x0, 0x1);
+  const __m128d x1s = _mm_permute_pd(x1, 0x1);
+  auto row = [&](int r) {
+    return _mm_addsub_pd(
+        _mm_fmadd_pd(_mm_set1_pd(cu.re[2 * r + 1]), x1,
+                     _mm_mul_pd(_mm_set1_pd(cu.re[2 * r]), x0)),
+        _mm_fmadd_pd(_mm_set1_pd(cu.im[2 * r + 1]), x1s,
+                     _mm_mul_pd(_mm_set1_pd(cu.im[2 * r]), x0s)));
+  };
+  const __m128d y0 = row(0);
+  const __m128d y1 = row(1);
+  _mm_storeu_pd(p0, y0);
+  _mm_storeu_pd(p1, y1);
 }
 
 }  // namespace
@@ -320,213 +333,132 @@ void perm2_range_avx2(cx* a, std::size_t begin, std::size_t end,
 
 namespace {
 
-/// One quad of the fused depolarizing (k = 1) update, for heads/tails.
-inline void depol1_one(cx* rho, std::size_t base, std::size_t mc,
-                       std::size_t mr, double c1, double fill_scale) {
-  const cx p00 = rho[base];
-  const cx p11 = rho[base | mr | mc];
-  const cx fill = fill_scale * (p00 + p11);
-  rho[base] = c1 * p00 + fill;
-  rho[base | mc] *= c1;
-  rho[base | mr] *= c1;
-  rho[base | mr | mc] = c1 * p11 + fill;
+// Lane-width traits for the fused pair channel: W2 holds the same element
+// of two adjacent blocks (one __m256d), W1 the element of one block (one
+// __m128d). pair_block spells out one operation sequence for both, so a
+// block rounds identically whichever body handles it — the head/tail of a
+// parallel_for chunk included.
+struct W1 {
+  using V = __m128d;
+  static V load(const double* p) { return _mm_loadu_pd(p); }
+  static void store(double* p, V v) { _mm_storeu_pd(p, v); }
+  static V set1(double x) { return _mm_set1_pd(x); }
+  static V add(V a, V b) { return _mm_add_pd(a, b); }
+  static V mul(V a, V b) { return _mm_mul_pd(a, b); }
+  static V addsub(V a, V b) { return _mm_addsub_pd(a, b); }
+  static V imswap(V v) { return _mm_permute_pd(v, 0x1); }
+};
+
+struct W2 {
+  using V = __m256d;
+  static V load(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  static V set1(double x) { return _mm256_set1_pd(x); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V addsub(V a, V b) { return _mm256_addsub_pd(a, b); }
+  static V imswap(V v) { return _mm256_permute_pd(v, 0x5); }
+};
+
+template <class W>
+struct XShapeV {
+  typename W::V a00, a03, a30, a33, z01r, z01i, z10r, z10i;
+  explicit XShapeV(const XShape& x)
+      : a00(W::set1(x.a00)), a03(W::set1(x.a03)), a30(W::set1(x.a30)),
+        a33(W::set1(x.a33)), z01r(W::set1(x.z01r)), z01i(W::set1(x.z01i)),
+        z10r(W::set1(x.z10r)), z10i(W::set1(x.z10i)) {}
+};
+
+/// One (p00, p01, p10, p11) group through an X-shaped superoperator.
+template <class W>
+inline void xshape_group(typename W::V& e00, typename W::V& e01,
+                         typename W::V& e10, typename W::V& e11,
+                         const XShapeV<W>& x) {
+  const typename W::V p00 = W::add(W::mul(x.a00, e00), W::mul(x.a03, e11));
+  const typename W::V p11 = W::add(W::mul(x.a30, e00), W::mul(x.a33, e11));
+  e01 = W::addsub(W::mul(x.z01r, e01), W::mul(x.z01i, W::imswap(e01)));
+  e10 = W::addsub(W::mul(x.z10r, e10), W::mul(x.z10i, W::imswap(e10)));
+  e00 = p00;
+  e11 = p11;
 }
 
-/// One quad of the fused relaxation update, for heads/tails.
-inline void relax1_one(cx* rho, std::size_t base, std::size_t mc,
-                       std::size_t mr, double gamma, double decay,
-                       double keep) {
-  const cx p11 = rho[base | mr | mc];
-  rho[base] += gamma * p11;
-  rho[base | mc] *= decay;
-  rho[base | mr] *= decay;
-  rho[base | mr | mc] = keep * p11;
-}
-
-/// One 16-element block of the fused depolarizing (k = 2) update.
-inline void depol2_one(cx* rho, std::size_t base, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale) {
-  cx traced{0.0, 0.0};
-  for (std::size_t s = 0; s < 4; ++s) {
-    traced += rho[base + row_off[s] + col_off[s]];
-  }
-  const cx fill = fill_scale * traced;
-  for (std::size_t sr = 0; sr < 4; ++sr) {
-    for (std::size_t sc = 0; sc < 4; ++sc) {
-      cx& v = rho[base + row_off[sr] + col_off[sc]];
-      v *= c1;
-      if (sr == sc) v += fill;
+/// One 16-element block (W1) or two adjacent blocks (W2) of the fused pair
+/// channel. w[sr * 4 + sc] is local element (row value sr, column value
+/// sc); the permutation lands on the store addresses, so w never needs a
+/// runtime register index.
+template <class W, bool kPre>
+inline void pair_block(double* p, std::size_t base, const std::size_t* src_off,
+                       const std::size_t* dst_off, const XShapeV<W>& hi,
+                       const XShapeV<W>& lo, typename W::V c1,
+                       typename W::V fs) {
+  typename W::V w[16];
+  for (int i = 0; i < 16; ++i) w[i] = W::load(p + 2 * (base + src_off[i]));
+  if constexpr (kPre) {
+    for (int rb = 0; rb < 2; ++rb) {
+      for (int cb = 0; cb < 2; ++cb) {
+        xshape_group<W>(w[rb * 4 + cb], w[rb * 4 + 2 + cb],
+                        w[(2 + rb) * 4 + cb], w[(2 + rb) * 4 + 2 + cb], hi);
+      }
+    }
+    for (int ra = 0; ra < 2; ++ra) {
+      for (int ca = 0; ca < 2; ++ca) {
+        xshape_group<W>(w[8 * ra + 2 * ca], w[8 * ra + 2 * ca + 1],
+                        w[8 * ra + 4 + 2 * ca], w[8 * ra + 4 + 2 * ca + 1], lo);
+      }
     }
   }
+  const typename W::V fill =
+      W::mul(fs, W::add(W::add(W::add(w[0], w[5]), w[10]), w[15]));
+  for (int i = 0; i < 16; ++i) {
+    typename W::V v = W::mul(c1, w[i]);
+    if (i % 5 == 0) v = W::add(v, fill);
+    W::store(p + 2 * (base + dst_off[i]), v);
+  }
+}
+
+template <bool kPre>
+void pair_range(double* p, std::size_t begin, std::size_t end,
+                const PairGeometry& geo, const std::size_t* src_off,
+                const std::size_t* dst_off, const PairChannel& ch) {
+  auto expand = [&](std::size_t t) {
+    for (int j = 0; j < 4; ++j) t = insert_bit(t, geo.positions[j]);
+    return t;
+  };
+  const XShapeV<W1> hi1(ch.pre_hi), lo1(ch.pre_lo);
+  const __m128d c1_1 = W1::set1(ch.c1), fs1 = W1::set1(ch.fill_scale);
+  auto one = [&](std::size_t t) {
+    pair_block<W1, kPre>(p, expand(t), src_off, dst_off, hi1, lo1, c1_1, fs1);
+  };
+  if (geo.positions[0] < 1) {
+    // Superket bit 0 is a target: consecutive blocks are not adjacent.
+    for (std::size_t t = begin; t < end; ++t) one(t);
+    return;
+  }
+  const XShapeV<W2> hi2(ch.pre_hi), lo2(ch.pre_lo);
+  const __m256d c1_2 = W2::set1(ch.c1), fs2 = W2::set1(ch.fill_scale);
+  std::size_t t = begin;
+  if ((t & 1U) != 0 && t < end) one(t++);
+  for (; t + 1 < end; t += 2) {
+    pair_block<W2, kPre>(p, expand(t), src_off, dst_off, hi2, lo2, c1_2, fs2);
+  }
+  if (t < end) one(t);
 }
 
 }  // namespace
 
-void depol1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double c1, double fill_scale) {
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
+void pair_range_avx2(cx* rho, std::size_t begin, std::size_t end,
+                     const PairGeometry& geo, const PairChannel& ch) {
+  std::size_t src_off[16];
+  std::size_t dst_off[16];
+  for (int i = 0; i < 16; ++i) {
+    src_off[i] = geo.row_off[i >> 2] + geo.col_off[i & 3];
+    dst_off[i] = geo.row_off[ch.dst[i >> 2]] + geo.col_off[ch.dst[i & 3]];
+  }
   double* const p = reinterpret_cast<double*>(rho);
-  const __m256d c1v = _mm256_set1_pd(c1);
-  const __m256d fsv = _mm256_set1_pd(fill_scale);
-  if (pc >= 1) {
-    // Bases with both target bits clear come in contiguous runs of
-    // 2^pc >= 2: an even t and its successor map to adjacent quads, so
-    // every offset is a full-width two-complex access scaled elementwise.
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      depol1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, c1,
-                 fill_scale);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-      double* const q00 = p + 2 * base;
-      double* const q01 = p + 2 * (base | mc);
-      double* const q10 = p + 2 * (base | mr);
-      double* const q11 = p + 2 * (base | mr | mc);
-      const __m256d v00 = _mm256_loadu_pd(q00);
-      const __m256d v11 = _mm256_loadu_pd(q11);
-      const __m256d fill = _mm256_mul_pd(fsv, _mm256_add_pd(v00, v11));
-      _mm256_storeu_pd(q00, _mm256_add_pd(_mm256_mul_pd(c1v, v00), fill));
-      _mm256_storeu_pd(q01, _mm256_mul_pd(c1v, _mm256_loadu_pd(q01)));
-      _mm256_storeu_pd(q10, _mm256_mul_pd(c1v, _mm256_loadu_pd(q10)));
-      _mm256_storeu_pd(q11, _mm256_add_pd(_mm256_mul_pd(c1v, v11), fill));
-    }
-    if (t < end) {
-      depol1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, c1,
-                 fill_scale);
-    }
-    return;
-  }
-  // pc == 0 (pr = pc + n >= 1): the (p00, p01) pair is contiguous at base
-  // and (p10, p11) at base | mr, so one register holds each row of the
-  // quad. Build the fill in the p00 lanes, mirror it into the p11 lanes.
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = insert_bit(insert_bit(t, 0), pr);
-    double* const q0 = p + 2 * base;
-    double* const q1 = p + 2 * (base | mr);
-    const __m256d v0 = _mm256_loadu_pd(q0);  // [p00, p01]
-    const __m256d v1 = _mm256_loadu_pd(q1);  // [p10, p11]
-    const __m256d v1sw = _mm256_permute2f128_pd(v1, v1, 0x01);  // [p11, p10]
-    // Lanes {0,1} hold p00 + p11 — the only lanes the blends keep.
-    const __m256d fillv = _mm256_mul_pd(fsv, _mm256_add_pd(v0, v1sw));
-    const __m256d out0 = _mm256_add_pd(_mm256_mul_pd(c1v, v0),
-                                       _mm256_blend_pd(zero, fillv, 0x3));
-    const __m256d fillsw = _mm256_permute2f128_pd(fillv, fillv, 0x01);
-    const __m256d out1 = _mm256_add_pd(_mm256_mul_pd(c1v, v1),
-                                       _mm256_blend_pd(zero, fillsw, 0xC));
-    _mm256_storeu_pd(q0, out0);
-    _mm256_storeu_pd(q1, out1);
-  }
-}
-
-void depol2_range_avx2(cx* rho, std::size_t begin, std::size_t end,
-                       const int* positions, const std::size_t* row_off,
-                       const std::size_t* col_off, double c1,
-                       double fill_scale) {
-  double* const p = reinterpret_cast<double*>(rho);
-  if (positions[0] < 1) {
-    // The lowest target bit sits at position 0: bases are never adjacent,
-    // so full-width loads would straddle block boundaries. Keep the
-    // scalar body (still inside this TU so the caller's dispatch is one
-    // branch either way).
-    for (std::size_t t = begin; t < end; ++t) {
-      std::size_t base = t;
-      for (int j = 0; j < 4; ++j) base = insert_bit(base, positions[j]);
-      depol2_one(rho, base, row_off, col_off, c1, fill_scale);
-    }
-    return;
-  }
-  const __m256d c1v = _mm256_set1_pd(c1);
-  const __m256d fsv = _mm256_set1_pd(fill_scale);
-  auto expand = [&](std::size_t t) {
-    for (int j = 0; j < 4; ++j) t = insert_bit(t, positions[j]);
-    return t;
-  };
-  std::size_t t = begin;
-  if ((t & 1U) != 0 && t < end) {
-    depol2_one(rho, expand(t), row_off, col_off, c1, fill_scale);
-    ++t;
-  }
-  for (; t + 1 < end; t += 2) {
-    const std::size_t base = expand(t);
-    // Trace of the local diagonal across both blocks, then one scaled
-    // (+ diagonal fill) pass over all 16 offsets.
-    __m256d sum = _mm256_loadu_pd(p + 2 * (base + row_off[0] + col_off[0]));
-    for (std::size_t s = 1; s < 4; ++s) {
-      sum = _mm256_add_pd(
-          sum, _mm256_loadu_pd(p + 2 * (base + row_off[s] + col_off[s])));
-    }
-    const __m256d fill = _mm256_mul_pd(fsv, sum);
-    for (std::size_t sr = 0; sr < 4; ++sr) {
-      for (std::size_t sc = 0; sc < 4; ++sc) {
-        double* const q = p + 2 * (base + row_off[sr] + col_off[sc]);
-        __m256d v = _mm256_mul_pd(c1v, _mm256_loadu_pd(q));
-        if (sr == sc) v = _mm256_add_pd(v, fill);
-        _mm256_storeu_pd(q, v);
-      }
-    }
-  }
-  if (t < end) {
-    depol2_one(rho, expand(t), row_off, col_off, c1, fill_scale);
-  }
-}
-
-void relax1_range_avx2(cx* rho, std::size_t begin, std::size_t end, int pc,
-                       int pr, double gamma, double decay, double keep) {
-  const std::size_t mc = std::size_t{1} << pc;
-  const std::size_t mr = std::size_t{1} << pr;
-  double* const p = reinterpret_cast<double*>(rho);
-  if (pc >= 1) {
-    const __m256d gv = _mm256_set1_pd(gamma);
-    const __m256d dv = _mm256_set1_pd(decay);
-    const __m256d kv = _mm256_set1_pd(keep);
-    std::size_t t = begin;
-    if ((t & 1U) != 0 && t < end) {
-      relax1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, gamma, decay,
-                 keep);
-      ++t;
-    }
-    for (; t + 1 < end; t += 2) {
-      const std::size_t base = insert_bit(insert_bit(t, pc), pr);
-      double* const q00 = p + 2 * base;
-      double* const q01 = p + 2 * (base | mc);
-      double* const q10 = p + 2 * (base | mr);
-      double* const q11 = p + 2 * (base | mr | mc);
-      const __m256d v11 = _mm256_loadu_pd(q11);
-      _mm256_storeu_pd(
-          q00, _mm256_add_pd(_mm256_loadu_pd(q00), _mm256_mul_pd(gv, v11)));
-      _mm256_storeu_pd(q01, _mm256_mul_pd(dv, _mm256_loadu_pd(q01)));
-      _mm256_storeu_pd(q10, _mm256_mul_pd(dv, _mm256_loadu_pd(q10)));
-      _mm256_storeu_pd(q11, _mm256_mul_pd(kv, v11));
-    }
-    if (t < end) {
-      relax1_one(rho, insert_bit(insert_bit(t, pc), pr), mc, mr, gamma, decay,
-                 keep);
-    }
-    return;
-  }
-  // pc == 0: rows of the quad are contiguous pairs; per-lane coefficient
-  // vectors apply (1, decay) to the top row and (decay, keep) to the
-  // bottom, with the gamma*p11 term mirrored into the p00 lanes.
-  const __m256d top = _mm256_setr_pd(1.0, 1.0, decay, decay);
-  const __m256d bot = _mm256_setr_pd(decay, decay, keep, keep);
-  const __m256d gsel = _mm256_setr_pd(gamma, gamma, 0.0, 0.0);
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t base = insert_bit(insert_bit(t, 0), pr);
-    double* const q0 = p + 2 * base;
-    double* const q1 = p + 2 * (base | mr);
-    const __m256d v0 = _mm256_loadu_pd(q0);  // [p00, p01]
-    const __m256d v1 = _mm256_loadu_pd(q1);  // [p10, p11]
-    const __m256d v1sw = _mm256_permute2f128_pd(v1, v1, 0x01);  // [p11, p10]
-    const __m256d out0 =
-        _mm256_add_pd(_mm256_mul_pd(v0, top), _mm256_mul_pd(v1sw, gsel));
-    const __m256d out1 = _mm256_mul_pd(v1, bot);
-    _mm256_storeu_pd(q0, out0);
-    _mm256_storeu_pd(q1, out1);
+  if (ch.pre) {
+    pair_range<true>(p, begin, end, geo, src_off, dst_off, ch);
+  } else {
+    pair_range<false>(p, begin, end, geo, src_off, dst_off, ch);
   }
 }
 
@@ -676,4 +608,4 @@ void mul4_lift_avx2(cx* m, const cx* u, bool high) {
 
 }  // namespace qucp::kern::detail
 
-#endif  // QUCP_NATIVE_KERNELS && x86
+#endif  // QUCP_AVX2_KERNELS

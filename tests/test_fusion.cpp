@@ -15,43 +15,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "benchmarks/suite.hpp"
+#include "circuit/decompose.hpp"
 #include "circuit/gate_cache.hpp"
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
 #include "service/backend.hpp"
 #include "sim/density.hpp"
 #include "sim/executor.hpp"
+#include "sim/kernels.hpp"
+#include "sim/noisy_stream.hpp"
 #include "sim/statevector.hpp"
+#include "random_circuits.hpp"
 
 namespace qucp {
 namespace {
 
+using testutil::bundled_devices;
+using testutil::dist_diff;
+using testutil::random_1q_gate;
+using testutil::random_physical_circuit;
+
 constexpr double kTol = 1e-10;
-
-std::vector<Device> bundled_devices() {
-  std::vector<Device> devices;
-  devices.push_back(make_melbourne16());
-  devices.push_back(make_toronto27());
-  devices.push_back(make_manhattan65());
-  devices.push_back(make_line_device(9));
-  devices.push_back(make_grid_device(4, 5));
-  return devices;
-}
-
-double dist_diff(const Distribution& a, const Distribution& b) {
-  double worst = 0.0;
-  for (const auto& [k, p] : a.probs()) {
-    worst = std::max(worst, std::abs(p - b.prob(k)));
-  }
-  for (const auto& [k, p] : b.probs()) {
-    worst = std::max(worst, std::abs(p - a.prob(k)));
-  }
-  return worst;
-}
 
 double state_diff(std::span<const cx> a, std::span<const cx> b) {
   EXPECT_EQ(a.size(), b.size());
@@ -84,82 +73,6 @@ void expect_fused_matches_unfused(const Circuit& c, const char* label) {
     EXPECT_LT(state_diff(fused.data(), density_reference(c).data()), kTol)
         << label;
   }
-}
-
-Gate random_1q_gate(Rng& rng, int qubit) {
-  static const GateKind kinds[] = {GateKind::H,  GateKind::X,  GateKind::Y,
-                                   GateKind::Z,  GateKind::S,  GateKind::T,
-                                   GateKind::SX, GateKind::RX, GateKind::RY,
-                                   GateKind::RZ, GateKind::U2, GateKind::U3};
-  Gate g;
-  g.kind = kinds[rng.index(std::size(kinds))];
-  g.qubits = {qubit};
-  for (int i = 0; i < gate_param_count(g.kind); ++i) {
-    g.params.push_back(rng.uniform(-3.0, 3.0));
-  }
-  return g;
-}
-
-/// Grow a random connected region of `want` qubits on the device topology.
-std::vector<int> random_region(const Device& device, Rng& rng, int want) {
-  const Topology& topo = device.topology();
-  std::vector<int> region{
-      static_cast<int>(rng.index(static_cast<std::size_t>(device.num_qubits())))};
-  while (static_cast<int>(region.size()) < want) {
-    std::vector<int> frontier;
-    for (const Edge& e : topo.edges()) {
-      const bool has_a = std::count(region.begin(), region.end(), e.a) > 0;
-      const bool has_b = std::count(region.begin(), region.end(), e.b) > 0;
-      if (has_a != has_b) frontier.push_back(has_a ? e.b : e.a);
-    }
-    if (frontier.empty()) break;
-    region.push_back(frontier[rng.index(frontier.size())]);
-  }
-  return region;
-}
-
-/// A randomized physical circuit on a connected region: parameterized
-/// rotations, CX/SWAP-heavy stretches, occasional barriers and mid-circuit
-/// measurements, measurement-suffixed.
-Circuit random_physical_circuit(const Device& device, Rng& rng, int region_size,
-                                int steps) {
-  const std::vector<int> region = random_region(device, rng, region_size);
-  std::vector<std::pair<int, int>> pairs;
-  for (const Edge& e : device.topology().edges()) {
-    if (std::count(region.begin(), region.end(), e.a) > 0 &&
-        std::count(region.begin(), region.end(), e.b) > 0) {
-      pairs.emplace_back(e.a, e.b);
-    }
-  }
-  Circuit c(device.num_qubits(), static_cast<int>(region.size()));
-  int next_clbit = 0;
-  for (int s = 0; s < steps; ++s) {
-    const double roll = rng.uniform(0.0, 1.0);
-    if (!pairs.empty() && roll < 0.45) {
-      auto [a, b] = pairs[rng.index(pairs.size())];
-      if (rng.bernoulli(0.5)) std::swap(a, b);
-      const double kind = rng.uniform(0.0, 1.0);
-      if (kind < 0.6) {
-        c.cx(a, b);
-      } else if (kind < 0.8) {
-        c.cz(a, b);
-      } else {
-        c.swap(a, b);
-      }
-    } else if (roll < 0.9) {
-      c.append(random_1q_gate(rng, region[rng.index(region.size())]));
-    } else if (roll < 0.95) {
-      c.barrier(region);  // region-scoped, like transpiled programs emit
-    } else if (next_clbit < static_cast<int>(region.size())) {
-      // Mid-circuit measurement: fusion must not merge across it.
-      c.measure(region[static_cast<std::size_t>(next_clbit)], next_clbit);
-      ++next_clbit;
-    }
-  }
-  for (; next_clbit < static_cast<int>(region.size()); ++next_clbit) {
-    c.measure(region[static_cast<std::size_t>(next_clbit)], next_clbit);
-  }
-  return c;
 }
 
 TEST(FusionGolden, SuiteCircuitsMatchUnfused) {
@@ -221,8 +134,8 @@ TEST(FusionGolden, ExecutorDistributionsAndCountsBitIdenticalWithCache) {
 TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
   // ROADMAP (f): with gate_noise and idle_noise both off, the executor
   // consumes the fused CompiledProgram stream instead of replaying per-op
-  // channels. The distributions must agree with the per-op walk
-  // (fuse_noiseless = false) to <= 1e-10 on every bundled topology —
+  // channels. The distributions must agree with the per-op reference
+  // (execute_parallel_reference) to <= 1e-10 on every bundled topology —
   // through the backend caches and without them, readout noise on and off
   // — and the schedule-derived reporting must not move at all.
   std::uint64_t seed = 1300;
@@ -238,14 +151,12 @@ TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
       fused_opts.gate_noise = false;
       fused_opts.idle_noise = false;
       fused_opts.readout_noise = readout;
-      ExecOptions per_op_opts = fused_opts;
-      per_op_opts.fuse_noiseless = false;
       // Twice through the backend: the second run replays the cached
       // fused program.
       const ParallelRunReport fused = backend.execute(progs, fused_opts);
       const ParallelRunReport fused2 = backend.execute(progs, fused_opts);
       const ParallelRunReport per_op =
-          execute_parallel(device, progs, per_op_opts);
+          execute_parallel_reference(device, progs, fused_opts);
       for (const ParallelRunReport* run : {&fused, &fused2}) {
         EXPECT_LT(dist_diff(run->programs[0].distribution,
                             per_op.programs[0].distribution),
@@ -258,6 +169,165 @@ TEST(FusionGolden, NoiselessExecutorFusedStreamMatchesPerOpReplay) {
       }
       EXPECT_EQ(fused.programs[0].counts.total(), 128);
     }
+  }
+}
+
+/// Two co-running random programs on adjacent disjoint regions of
+/// `device` (so one-hop CX pairs can crosstalk); the second leaves its
+/// last region qubit untouched but measured.
+std::vector<PhysicalProgram> adjacent_pair(const Device& device, Rng& rng,
+                                           int steps) {
+  const int size_a = 2 + static_cast<int>(rng.index(3));
+  const int size_b = 2 + static_cast<int>(rng.index(3));
+  const std::vector<int> ra = testutil::random_region(device, rng, size_a);
+  const std::vector<int> rb = testutil::random_region(device, rng, size_b, ra);
+  std::vector<PhysicalProgram> progs;
+  progs.push_back(
+      {testutil::random_physical_circuit_on(device, rng, ra, steps), "a"});
+  progs.push_back(
+      {testutil::random_physical_circuit_on(device, rng, rb, steps, 1), "b"});
+  return progs;
+}
+
+void expect_same_run(const ParallelRunReport& fused,
+                     const ParallelRunReport& per_op, const std::string& label) {
+  ASSERT_EQ(fused.programs.size(), per_op.programs.size()) << label;
+  EXPECT_EQ(fused.makespan_ns, per_op.makespan_ns) << label;
+  EXPECT_EQ(fused.crosstalk_events, per_op.crosstalk_events) << label;
+  for (std::size_t p = 0; p < fused.programs.size(); ++p) {
+    EXPECT_LT(dist_diff(fused.programs[p].distribution,
+                        per_op.programs[p].distribution),
+              kTol)
+        << label << " program " << p;
+  }
+}
+
+TEST(FusionGolden, NoisyExecutorFusedStreamMatchesPerOpReplay) {
+  // The fused noisy stream (sim/noisy_stream.hpp) against the per-op
+  // replay of the same channel lists, on every bundled topology: random
+  // physical circuits with lowered SWAP/CZ, barriers, mid-circuit and
+  // measured-but-untouched qubits, with crosstalk, idle and readout noise
+  // each on and off, gate noise on and off, and serialize_crosstalk.
+  std::uint64_t seed = 4100;
+  int crosstalk_runs = 0;
+  for (const Device& device : bundled_devices()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Rng rng(seed++);
+      const std::vector<PhysicalProgram> progs =
+          adjacent_pair(device, rng, 30 + 10 * trial);
+      for (int mask = 0; mask < 16; ++mask) {
+        ExecOptions opts;
+        opts.shots = 32;
+        opts.crosstalk_noise = (mask & 1) != 0;
+        opts.idle_noise = (mask & 2) != 0;
+        opts.readout_noise = (mask & 4) != 0;
+        opts.gate_noise = (mask & 8) != 0;
+        const ParallelRunReport fused = execute_parallel(device, progs, opts);
+        const ParallelRunReport per_op =
+            execute_parallel_reference(device, progs, opts);
+        if (fused.crosstalk_events > 0 && opts.gate_noise) ++crosstalk_runs;
+        expect_same_run(fused, per_op,
+                        device.name() + " trial " + std::to_string(trial) +
+                            " mask " + std::to_string(mask));
+      }
+      ExecOptions serialized;
+      serialized.shots = 32;
+      serialized.serialize_crosstalk = true;
+      expect_same_run(execute_parallel(device, progs, serialized),
+                      execute_parallel_reference(device, progs, serialized),
+                      device.name() + " serialized");
+    }
+  }
+  EXPECT_GT(crosstalk_runs, 0);
+}
+
+TEST(FusionGolden, NoisyStreamFoldsSwapsAndTrailingChannels) {
+  // Structure of the fused stream on a hand-built channel list: a SWAP
+  // (three CX on one pair) folds into one pair pass, relaxation before any
+  // gate is dropped, X-shaped pending channels ride along as pre-channels,
+  // and the channels after each qubit's last gate become population maps
+  // unless they need coherences (the trailing H stays a dense pass).
+  Circuit c(3, 3);
+  c.rz(0.3, 0);
+  c.swap(0, 1);
+  c.ry(0.7, 2);
+  c.cx(1, 2);
+  c.h(2);
+  c.x(0);
+  c.measure_all();
+  const Circuit low = lower_to_cx_basis(c);
+  const std::vector<FusedOp> kernels = compile_ops(low);
+  std::vector<NoisyChannel> channels;
+  auto relax = [&](int q) {
+    NoisyChannel ch;
+    ch.kind = NoisyChannel::Kind::kRelaxation;
+    ch.q[0] = q;
+    ch.param = 250.0;
+    ch.t1_us = 80.0;
+    ch.t2_us = 60.0;
+    channels.push_back(ch);
+  };
+  for (int q = 0; q < 3; ++q) relax(q);  // before any gate: dropped
+  for (std::size_t i = 0; i < low.size(); ++i) {
+    const Gate& g = low.ops()[i];
+    if (g.kind == GateKind::Measure) continue;
+    NoisyChannel gate;
+    gate.op = &kernels[i];
+    for (std::size_t k = 0; k < g.qubits.size(); ++k) gate.q[k] = g.qubits[k];
+    channels.push_back(gate);
+    NoisyChannel depol = gate;
+    depol.kind = NoisyChannel::Kind::kDepolarizing;
+    depol.op = nullptr;
+    depol.param = g.qubits.size() == 2 ? 0.02 : 0.004;
+    channels.push_back(depol);
+    if (g.qubits.size() == 1) relax(g.qubits[0]);
+  }
+  relax(1);
+  const NoisyStream stream = NoisyStream::build(3, channels);
+  EXPECT_EQ(stream.pair_passes(), 2u);  // the SWAP, then CX(1, 2)
+  // RY on qubit 2 is dense before its CX; H on qubit 2 trails densely.
+  EXPECT_EQ(stream.dense_passes(), 2u);
+  // Qubits 0 (X) and 1 (relaxation only) end population-only.
+  EXPECT_EQ(stream.population_maps(), 2u);
+  const std::vector<double> fused = stream.run();
+  const std::vector<double> per_op = replay_channels(3, channels);
+  ASSERT_EQ(fused.size(), per_op.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_NEAR(fused[i], per_op[i], kTol) << "basis " << i;
+  }
+}
+
+TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
+  // Every fused kernel is elementwise or blockwise with no cross-block
+  // reduction, so a 9-qubit noisy program (large enough that the pair
+  // passes split across workers) must not move a bit between one and four
+  // kernel threads — the property the service's batch replay relies on.
+  const Device device = make_line_device(9);
+  Rng rng(20221017);
+  std::vector<int> all(9);
+  for (int q = 0; q < 9; ++q) all[static_cast<std::size_t>(q)] = q;
+  std::vector<PhysicalProgram> progs;
+  progs.push_back(
+      {testutil::random_physical_circuit_on(device, rng, all, 60), "wide"});
+  for (const bool native : {false, true}) {
+    struct NativeReset {
+      bool was = kern::native_kernels_active();
+      ~NativeReset() { kern::set_native_kernels(was); }
+    } reset;
+    if (native && !kern::native_kernels_active()) continue;
+    kern::set_native_kernels(native);
+    ExecOptions one;
+    one.shots = 128;
+    one.kernel_threads = 1;
+    ExecOptions four = one;
+    four.kernel_threads = 4;
+    const ParallelRunReport a = execute_parallel(device, progs, one);
+    const ParallelRunReport b = execute_parallel(device, progs, four);
+    EXPECT_EQ(a.programs[0].distribution.probs(),
+              b.programs[0].distribution.probs())
+        << "native=" << native;
+    EXPECT_EQ(a.programs[0].counts.data(), b.programs[0].counts.data())
+        << "native=" << native;
   }
 }
 
@@ -510,54 +580,6 @@ TEST(NativeKernels, ScalarAndNativeDiagPermKernelsAgree) {
   }
 }
 
-TEST(NativeKernels, ScalarAndNativeChannelKernelsAgree) {
-  if (!kern::native_kernels_active()) {
-    GTEST_SKIP() << "native kernels not compiled/supported on this machine";
-  }
-  // Noise-channel superket passes (depolarizing 1q/2q, thermal
-  // relaxation): the AVX2 bodies pre-fold c2 * inv_ldim into one
-  // fill_scale, so agreement is pinned at <= 1e-10 rather than bitwise.
-  // Qubit 0 operands exercise the packed-lane (pc == 0) code paths; higher
-  // qubits the full-width two-quad bodies.
-  struct NativeReset {
-    ~NativeReset() { kern::set_native_kernels(true); }
-  } reset;
-  Rng rng(9911);
-  for (int n = 2; n <= 6; ++n) {
-    Circuit c(n);
-    for (int step = 0; step < 20; ++step) {
-      c.append(random_1q_gate(
-          rng, static_cast<int>(rng.index(static_cast<std::size_t>(n)))));
-      if (rng.bernoulli(0.3)) {
-        const int x = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
-        int y = static_cast<int>(rng.index(static_cast<std::size_t>(n) - 1));
-        if (y >= x) ++y;
-        c.cx(x, y);
-      }
-    }
-    const CompiledProgram prog = CompiledProgram::compile(c);
-    const auto run_channels = [&](bool native) {
-      kern::set_native_kernels(native);
-      DensityMatrix dm(n);
-      dm.run(prog);  // non-trivial state so every superket element matters
-      for (int q = 0; q < n; ++q) {
-        const int one[] = {q};
-        dm.apply_depolarizing(0.015 + 0.004 * q, one);
-        dm.apply_relaxation(q, 120.0 + 15.0 * q, 85.0, 70.0);
-      }
-      for (int q = 0; q + 1 < n; ++q) {
-        const int two[] = {q, q + 1};
-        dm.apply_depolarizing(0.02, two);
-      }
-      std::vector<cx> snapshot(dm.data().begin(), dm.data().end());
-      return snapshot;
-    };
-    const std::vector<cx> scalar = run_channels(false);
-    const std::vector<cx> native = run_channels(true);
-    EXPECT_LT(state_diff(scalar, native), kTol) << "n=" << n;
-  }
-}
-
 TEST(NativeKernels, ScalarAndNativeMaterializeAgree) {
   if (!kern::native_kernels_active()) {
     GTEST_SKIP() << "native kernels not compiled/supported on this machine";
@@ -658,6 +680,62 @@ TEST(NativeKernels, ScalarAndNativeMaterializeAgree) {
           << "n=" << n << " trial=" << trial;
       EXPECT_LT(coeff_diff(scalar_cmp, native_cmp), kTol)
           << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST(NativeKernels, ScalarAndNativePairChannelAgree) {
+  if (!kern::native_kernels_active()) {
+    GTEST_SKIP() << "native kernels not compiled/supported on this machine";
+  }
+  // The fused CX + depolarizing block pass, bare and with X-shaped
+  // pre-channels on both operands, over every operand placement (qubit 0
+  // takes the one-block AVX2 body) and all CX-generated permutations.
+  struct NativeReset {
+    ~NativeReset() { kern::set_native_kernels(true); }
+  } reset;
+  static constexpr int kPerms[4][4] = {
+      {0, 1, 3, 2}, {0, 3, 2, 1}, {0, 2, 1, 3}, {0, 3, 1, 2}};
+  Rng rng(31337);
+  for (int n = 2; n <= 5; ++n) {
+    Circuit c(n);
+    for (int q = 0; q < n; ++q) c.append(random_1q_gate(rng, q));
+    for (int q = 0; q + 1 < n; ++q) c.cx(q, q + 1);
+    for (int q = 0; q < n; ++q) c.append(random_1q_gate(rng, q));
+    const CompiledProgram prog = CompiledProgram::compile(c);
+    for (int hi = 0; hi < n; ++hi) {
+      for (int lo = 0; lo < n; ++lo) {
+        if (hi == lo) continue;
+        for (const bool pre : {false, true}) {
+          kern::PairChannel ch;
+          const int* perm = kPerms[rng.index(4)];
+          std::copy(perm, perm + 4, ch.dst);
+          ch.c1 = 1.0 - rng.uniform(0.0, 0.1);
+          ch.fill_scale = (1.0 - ch.c1) * 0.25;
+          ch.pre = pre;
+          for (kern::XShape* x : {&ch.pre_hi, &ch.pre_lo}) {
+            const double g = rng.uniform(0.0, 0.2);
+            x->a00 = 1.0 - 0.1 * g;
+            x->a03 = g;
+            x->a30 = 0.1 * g;
+            x->a33 = 1.0 - g;
+            const double phase = rng.uniform(-3.0, 3.0);
+            x->z01r = 0.9 * std::cos(phase);
+            x->z01i = 0.9 * std::sin(phase);
+            x->z10r = x->z01r;
+            x->z10i = -x->z01i;
+          }
+          const auto run = [&](bool native) {
+            kern::set_native_kernels(native);
+            DensityMatrix dm(n);
+            dm.run(prog);
+            dm.apply_pair_channel(hi, lo, ch);
+            return std::vector<cx>(dm.data().begin(), dm.data().end());
+          };
+          EXPECT_LT(state_diff(run(false), run(true)), kTol)
+              << "n=" << n << " hi=" << hi << " lo=" << lo << " pre=" << pre;
+        }
+      }
     }
   }
 }
