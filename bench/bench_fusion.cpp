@@ -12,12 +12,17 @@
 //                compiled in and the CPU supports them);
 //   parallel_split — ns per dense sweep at statevector sizes bracketing
 //                the parallel_for engage threshold (2 * kParallelGrain
-//                elements), 1 thread vs 2 forced threads. This is the
-//                ROADMAP (h) evidence row: on a multi-core box it shows
-//                the crossover the threshold should sit at; on a 1-core
-//                box (see meta.hw_threads) forcing 2 threads timeshares
-//                one core, so ratios <= 1 are expected and the threshold
-//                is left alone.
+//                elements), 1 thread vs a forced cap of 2, whose chunks
+//                run as tasks on the persistent simulation pool
+//                (sim/task_pool.hpp; no thread is spawned per sweep). On
+//                a multi-core box it shows the crossover the threshold
+//                should sit at; on a 1-core box (see meta.hw_threads) two
+//                chunks timeshare one core, so ratios <= 1 are expected
+//                and the threshold is left alone.
+//   program_split — ns per execute_parallel of one noisy 4-program GHZ-10
+//                batch on manhattan65, kernel_threads = 1 (every program
+//                inline on the caller) vs the default cap (one pool task
+//                per program); the two runs are checked bit-identical.
 //   channel_simd — ns per fused noise-channel block pass over the
 //                superket (kern::PairChannel: CX + 2q depolarizing, bare
 //                and carrying X-shaped pre-channels), scalar vs AVX2
@@ -508,6 +513,57 @@ std::vector<FusionRow> run_parallel_split_section() {
   return rows;
 }
 
+std::vector<FusionRow> run_program_split_section() {
+  const int rounds = smoke_mode() ? 2 : 5;
+  const int reps = smoke_mode() ? 1 : 3;
+  constexpr int kWidth = 10;
+  constexpr int kPrograms = 4;
+  const Device device = make_manhattan65();
+  Backend backend(device);
+  Circuit ghz(kWidth, kWidth);
+  ghz.h(0);
+  for (int q = 1; q < kWidth; ++q) ghz.cx(q - 1, q);
+  ghz.measure_all();
+  std::vector<int> allocated;
+  std::vector<PhysicalProgram> progs;
+  for (int p = 0; p < kPrograms; ++p) {
+    const std::vector<int> part =
+        partition_candidates(device, kWidth, allocated).front();
+    allocated.insert(allocated.end(), part.begin(), part.end());
+    progs.push_back({transpile_to_partition(ghz, device, part).physical,
+                     "ghz10_" + std::to_string(p)});
+  }
+  const std::shared_ptr<const CalibrationEpoch> epoch = backend.epoch();
+  ExecOptions inline_opts;
+  inline_opts.shots = 1024;
+  inline_opts.kernel_threads = 1;
+  ExecOptions pooled_opts = inline_opts;
+  pooled_opts.kernel_threads = 0;
+  const ParallelRunReport a = epoch->execute(progs, inline_opts);
+  const ParallelRunReport b = epoch->execute(progs, pooled_opts);
+  bool identical = a.programs.size() == b.programs.size();
+  for (std::size_t p = 0; identical && p < a.programs.size(); ++p) {
+    identical = a.programs[p].distribution.probs() ==
+                    b.programs[p].distribution.probs() &&
+                a.programs[p].counts.data() == b.programs[p].counts.data();
+  }
+  if (!identical) {
+    std::fprintf(stderr, "bench_fusion: program_split arms differ\n");
+  }
+  FusionRow row;
+  row.section = "program_split";
+  row.name = "ghz10x4_noisy_batch";
+  row.qubits = kWidth;
+  row.gates = static_cast<std::size_t>(kPrograms * ghz.gate_count());
+  const auto [inline_ns, pooled_ns] = interleaved_best_of(
+      rounds, reps,
+      [&] { benchmark::DoNotOptimize(epoch->execute(progs, inline_opts)); },
+      [&] { benchmark::DoNotOptimize(epoch->execute(progs, pooled_opts)); });
+  row.ns_baseline = inline_ns;
+  row.ns_new = pooled_ns;
+  return {row};
+}
+
 void write_json(const std::vector<FusionRow>& rows) {
   const char* env = std::getenv("QUCP_BENCH_OUT");
   const std::string path = (env != nullptr && *env != '\0')
@@ -526,7 +582,8 @@ void write_json(const std::vector<FusionRow>& rows) {
                "  \"unit\": \"ns_per_call\",\n"
                "  \"baseline\": \"unfused (ideal) / scalar (dense_simd, "
                "channel_simd, materialize_simd) / compile (plan_materialize) "
-               "/ 1-thread (parallel_split)\",\n"
+               "/ 1-thread (parallel_split) / kernel_threads = 1 "
+               "(program_split)\",\n"
                "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const FusionRow& r = rows[i];
@@ -643,10 +700,25 @@ void print_fusion_tables() {
   }
   std::printf(
       "\n16q is below the 2*kParallelGrain engage threshold (columns must\n"
-      "match); 17q/18q engage parallel_for under the forced 2-thread cap.\n"
+      "match); 17q/18q engage parallel_for under the forced 2-thread cap,\n"
+      "its chunks running on the simulation pool.\n"
       "On a 1-core box (meta.hw_threads = 1) ratios <= 1 are expected and\n"
       "the threshold stays put; re-run on a multi-core box to tune it.\n");
   rows.insert(rows.end(), split.begin(), split.end());
+
+  const std::vector<FusionRow> programs = run_program_split_section();
+  bench::heading(
+      "Program split: noisy 4 x GHZ-10 batch, inline vs one pool task per "
+      "program");
+  bench::row({"batch", "qubits", "inline ns", "pool ns", "speedup"}, 20);
+  bench::rule(5, 20);
+  for (const FusionRow& r : programs) {
+    bench::row({r.name, std::to_string(r.qubits),
+                fmt_double(r.ns_baseline, 0), fmt_double(r.ns_new, 0),
+                fmt_double(r.speedup(), 2) + "x"},
+               20);
+  }
+  rows.insert(rows.end(), programs.begin(), programs.end());
   write_json(rows);
 }
 

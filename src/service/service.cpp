@@ -63,9 +63,9 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
   if (programs.empty()) {
     throw std::invalid_argument("run_batch_pipeline: no programs");
   }
-  // Cap kernel threading for the whole pipeline, not just the noisy
-  // executor: the ideal_distribution() statevector passes below also
-  // engage parallel_for on wide programs.
+  // Cap fan-out for the whole pipeline, not just the noisy executor: the
+  // ideal_distribution() statevector passes below also engage
+  // parallel_for on wide programs.
   const kern::ParallelThreadsGuard thread_cap(options.exec.kernel_threads);
   const Device& device = epoch.device();
 
@@ -280,7 +280,26 @@ class SubmitGate {
   std::atomic<std::size_t>& active_;
 };
 
+/// Why `circuit` can never run, or empty when it can. A circuit with no
+/// active qubit has no partition to allocate, and one without
+/// measurements has no outcome to sample; either would otherwise fail
+/// inside a dispatch cycle or a batch, taking other jobs with it.
+std::string degenerate_reason(const Circuit& circuit) {
+  if (circuit.has_measurements()) return {};  // a measured qubit is active
+  return circuit.active_qubits().empty() ? "has no active qubits"
+                                         : "has no measurements";
+}
+
 }  // namespace
+
+bool ExecutionService::reject_degenerate(const JobPtr& state) {
+  const std::string why = degenerate_reason(state->circuit);
+  if (why.empty()) return false;
+  state->fail("job '" + state->name + "' " + why);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++jobs_failed_;
+  return true;
+}
 
 void ExecutionService::maybe_auto_flush(std::size_t pending_now) {
   if (options_.auto_flush_batch_size > 0 &&
@@ -309,6 +328,10 @@ JobHandle ExecutionService::submit(Circuit circuit, JobOptions options) {
   state->exclusive = options.exclusive;
   state->circuit = std::move(circuit);
   const SubmitGate gate(accepting_, active_submits_);
+  if (reject_degenerate(state)) {
+    state->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
+    return JobHandle(state);
+  }
   enqueue_job(state, intake_->home_shard());
   return JobHandle(state);
 }
@@ -329,6 +352,14 @@ std::vector<JobHandle> ExecutionService::submit_all(
     states.push_back(std::move(state));
   }
 
+  const SubmitGate gate(accepting_, active_submits_);
+  // Circuits that can never run fail here, alone; the rest form the block.
+  std::vector<JobPtr> queued;
+  queued.reserve(states.size());
+  for (const JobPtr& state : states) {
+    if (!reject_degenerate(state)) queued.push_back(state);
+  }
+
   // Sweep detection: >= 2 jobs of one structural fingerprint in a single
   // submitted vector, each with parameters to rebind, is parameter-sweep
   // traffic — mark it so dispatch can probe the transpile cache once per
@@ -337,8 +368,8 @@ std::vector<JobHandle> ExecutionService::submit_all(
   // single-shot submit() traffic stays byte-for-byte on the per-job path.
   {
     std::map<std::uint64_t, std::size_t> structure_counts;
-    for (const JobPtr& state : states) ++structure_counts[state->structural_fp];
-    for (const JobPtr& state : states) {
+    for (const JobPtr& state : queued) ++structure_counts[state->structural_fp];
+    for (const JobPtr& state : queued) {
       if (structure_counts[state->structural_fp] < 2) continue;
       const auto& ops = state->circuit.ops();
       const bool has_params =
@@ -348,18 +379,17 @@ std::vector<JobHandle> ExecutionService::submit_all(
     }
   }
 
-  const SubmitGate gate(accepting_, active_submits_);
   const std::size_t shard = intake_->home_shard();
-  if (states.size() <= intake_->shard_capacity()) {
+  if (queued.size() <= intake_->shard_capacity()) {
     // Fits in one lap: the all-or-nothing block push either publishes the
     // whole vector or backpressures without touching the ring.
-    const std::span<const JobPtr> block(states);
+    const std::span<const JobPtr> block(queued);
     while (!intake_->try_push_block(block, shard)) {
       dispatch_pending();  // backpressure, as in enqueue_job
     }
-    maybe_auto_flush(pending_count_.fetch_add(states.size(),
+    maybe_auto_flush(pending_count_.fetch_add(queued.size(),
                                               std::memory_order_acq_rel) +
-                     states.size());
+                     queued.size());
   } else {
     // Oversized batch: reserve the whole multi-lap ticket span up front —
     // ids stay contiguous with no chunk seam another same-shard producer
@@ -368,10 +398,10 @@ std::vector<JobHandle> ExecutionService::submit_all(
     // rings ourselves (we publish in ascending ticket order, so our own
     // published prefix is always drainable and frees the cells we need).
     const std::uint64_t base =
-        intake_->reserve_span(states.size(), shard);
+        intake_->reserve_span(queued.size(), shard);
     std::size_t published_unflushed = 0;
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      while (!intake_->try_publish_at(base + i, states[i], shard)) {
+    for (std::size_t i = 0; i < queued.size(); ++i) {
+      while (!intake_->try_publish_at(base + i, queued[i], shard)) {
         // Make our published prefix visible to pending_jobs()/auto-flush
         // accounting before draining it.
         pending_count_.fetch_add(published_unflushed,
@@ -598,7 +628,6 @@ void ExecutionService::dispatch_pending() {
         }
         lane.jobs_routed += batch.jobs.size();
         lane.backlog_s += batch.modeled_exec_s;
-        inflight_batches_.fetch_add(1, std::memory_order_relaxed);
         lane.queue.push_back(std::move(batch));
       }
       lane.wait_sum_s += plan.wait_sum_s[s];
@@ -624,21 +653,11 @@ void ExecutionService::worker_loop(Lane& lane) {
       batch = std::move(lane.queue.front());
       lane.queue.pop_front();
     }
-    // This batch is still counted in inflight_batches_ until it finishes,
-    // so the load reads as "batches that want the machine right now",
-    // fleet-wide across every lane.
-    const std::size_t pool =
-        static_cast<std::size_t>(options_.num_workers) * lanes_.size();
-    const std::size_t inflight =
-        std::max<std::size_t>(1, inflight_batches_.load(
-                                     std::memory_order_relaxed));
-    const int concurrency = static_cast<int>(std::min(pool, inflight));
-    execute_batch(lane, std::move(batch), concurrency);
+    execute_batch(lane, std::move(batch));
   }
 }
 
-void ExecutionService::execute_batch(Lane& lane, Batch batch,
-                                     int concurrency) {
+void ExecutionService::execute_batch(Lane& lane, Batch batch) {
   for (const JobPtr& job : batch.jobs) job->set_running();
 
   std::vector<Circuit> circuits;
@@ -660,14 +679,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
   // caller's exact seed (the run_parallel() shim runs as that batch and
   // must stay bit-identical to the historical single-shot behavior).
   popts.exec.seed = options_.exec.seed + kGolden * batch.index;
-  // Unless the caller pinned a kernel-thread cap, share the machine across
-  // the batches actually running: N concurrent batch simulations each with
-  // a full-width parallel_for would oversubscribe the cores N-fold, while
-  // a lone batch should keep the whole machine.
-  if (popts.exec.kernel_threads == 0 && concurrency > 1) {
-    popts.exec.kernel_threads =
-        std::max(1, kern::parallel_threads() / concurrency);
-  }
 
   // Only read the clock when realized-duration feedback is on: the
   // modeled-only mode must not depend on timing in any way.
@@ -737,7 +748,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch,
       }
     }
   }
-  inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++batches_executed_;

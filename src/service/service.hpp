@@ -76,7 +76,11 @@ struct ServiceOptions {
   std::optional<CrosstalkModel> srb_estimates;
   bool optimize_circuits = true;
 
-  int num_workers = 4;     ///< batch-executing threads per backend lane
+  /// Batch-executing threads per backend lane. Their programs' density
+  /// simulations run on the process-wide simulation pool
+  /// (sim/task_pool.hpp), which bounds simulation concurrency whatever
+  /// the lane count.
+  int num_workers = 4;
   int max_batch_size = 4;  ///< jobs per batch; <= 0 means unbounded
   /// §IV-B fidelity threshold: max EFS degradation vs running solo before
   /// a co-placement is rejected and the job spills — on a fleet, first to
@@ -257,6 +261,9 @@ class ExecutionService {
   /// Enqueue a circuit. Cheap, thread-safe and lock-free on the hot path
   /// (sharded MPSC intake, see service/intake.hpp); nothing executes
   /// until a batch is dispatched (flush(), shutdown() or auto-flush).
+  /// A circuit that can never run — no active qubit, or no measurement —
+  /// is not queued: its handle is returned already Failed, saying why,
+  /// and counts in jobs_submitted and jobs_failed.
   /// Throws std::runtime_error after shutdown().
   JobHandle submit(Circuit circuit, JobOptions options = {});
 
@@ -267,7 +274,8 @@ class ExecutionService {
   /// vectors larger than the shard capacity, which reserve a multi-lap
   /// ticket span up front and publish through it, backpressure-draining
   /// as the consumer frees cells (no chunk seam another producer could
-  /// land inside).
+  /// land inside). Circuits that can never run fail at once, as in
+  /// submit(), and are left out of the block.
   std::vector<JobHandle> submit_all(std::vector<Circuit> circuits);
 
   /// Fail every not-yet-dispatched job ("cancelled before dispatch") and
@@ -365,16 +373,15 @@ class ExecutionService {
   /// Assign an id and publish `state` to `shard`, backpressure-dispatching
   /// while the ring is full; throws std::runtime_error once shut down.
   void enqueue_job(const JobPtr& state, std::size_t shard);
+  /// Fail `state` on the spot when its circuit can never run (no active
+  /// qubit, no measurement) and count it; returns whether it was failed.
+  bool reject_degenerate(const JobPtr& state);
   void maybe_auto_flush(std::size_t pending_now);
   void worker_loop(Lane& lane);
   /// Pack current pending jobs through the fleet scheduler and enqueue
   /// the planned batches onto their lanes. Serialized by pack_mutex_.
   void dispatch_pending();
-  /// `concurrency` is the fleet-wide batch parallelism observed at
-  /// dequeue time (in-flight + queued, capped at the total pool size); it
-  /// sizes the kernel-thread budget so a lone batch keeps the whole
-  /// machine while N concurrent batches cannot oversubscribe it N-fold.
-  void execute_batch(Lane& lane, Batch batch, int concurrency);
+  void execute_batch(Lane& lane, Batch batch);
   void wait_for_drain();
 
   BackendRegistry fleet_;
@@ -402,10 +409,6 @@ class ExecutionService {
   std::uint64_t reservation_jobs_ = 0;
   double reservation_wait_sum_s_ = 0.0;
   double reservation_wait_max_s_ = 0.0;
-
-  /// Batches dispatched and not yet finished, fleet-wide (queued +
-  /// executing); sizes the kernel-thread budget without taking any lock.
-  std::atomic<std::size_t> inflight_batches_{0};
 
   std::mutex pack_mutex_;  ///< serializes pack/dispatch cycles
 

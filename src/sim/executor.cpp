@@ -12,6 +12,7 @@
 #include "sim/kernels.hpp"
 #include "sim/noise.hpp"
 #include "sim/noisy_stream.hpp"
+#include "sim/task_pool.hpp"
 
 namespace qucp {
 
@@ -351,7 +352,8 @@ ParallelRunReport run_batch(const Device& device,
                             GateMatrixCache* gate_cache,
                             const CompiledProgramCache* program_cache,
                             const DerivedNoise* derived, bool fused) {
-  // Cap kernel-level threading for the whole run (scoped to this thread).
+  // Cap the run's fan-out — program tasks and any kernel chunks issued
+  // from this thread — for the whole run (scoped to this thread).
   const kern::ParallelThreadsGuard thread_cap(options.kernel_threads);
   // Callers without a long-lived cache still deduplicate within the run.
   GateMatrixCache local_cache;
@@ -367,42 +369,59 @@ ParallelRunReport run_batch(const Device& device,
   // to the measurement probabilities afterwards), so the fused path replays
   // the executable's fused CompiledProgram stream.
   const bool noiseless = !options.gate_noise && !options.idle_noise;
+  const std::size_t num_programs = plan.compiled.size();
 
+  // Serial prologue, in program order: local qubit numbering and the
+  // measurement list of every program.
   std::vector<int> local_of(device.num_qubits(), -1);
-  for (std::size_t p = 0; p < plan.compiled.size(); ++p) {
+  std::vector<int> widths(num_programs);
+  // (device qubit, clbit) of every measurement, per program.
+  std::vector<std::vector<std::pair<int, int>>> measured(num_programs);
+  for (std::size_t p = 0; p < num_programs; ++p) {
     const Circuit& circ = plan.compiled[p]->lowered();
     const std::vector<int> active = circ.active_qubits();
     for (std::size_t i = 0; i < active.size(); ++i) {
       local_of[active[i]] = static_cast<int>(i);
     }
-    std::vector<std::pair<int, int>> measurements;  // (device qubit, clbit)
+    widths[p] = static_cast<int>(active.size());
     for (const Gate& g : circ.ops()) {
       if (g.kind == GateKind::Measure) {
-        measurements.emplace_back(g.qubits[0], g.clbit);
+        measured[p].emplace_back(g.qubits[0], g.clbit);
       }
     }
-    if (measurements.empty()) {
+    if (measured[p].empty()) {
       throw std::invalid_argument("execute_parallel: program '" +
                                   programs[p].name +
                                   "' has no measurements");
     }
+  }
 
-    const int n = static_cast<int>(active.size());
-    std::vector<double> local_probs;
+  // One pool task per program: its exact probabilities over local basis
+  // states. Programs couple only through the precomputed crosstalk gamma,
+  // so each task reads the shared plan and writes only its own vector.
+  std::vector<std::vector<double>> program_probs(num_programs);
+  kern::run_tasks(num_programs, [&](std::size_t p) {
+    const int n = widths[p];
     if (fused && noiseless) {
       // The executable carries the fused compilation of its compacted
       // lowered circuit (active qubit i = local bit i — exactly the
       // local_of mapping the measurement packing below relies on).
       DensityMatrix dm(n);
       dm.run(plan.compiled[p]->fused_compacted());
-      local_probs = dm.probabilities();
+      program_probs[p] = dm.probabilities();
     } else {
       const std::vector<NoisyChannel> channels =
           program_channels(plan, p, local_of, device, options, derived);
-      local_probs = fused ? NoisyStream::build(n, channels).run()
-                          : replay_channels(n, channels);
+      program_probs[p] = fused ? NoisyStream::build(n, channels).run()
+                               : replay_channels(n, channels);
     }
+  });
 
+  // Serial epilogue, in program order: measurement packing, readout flips
+  // and sampling from each program's own derived RNG stream.
+  for (std::size_t p = 0; p < num_programs; ++p) {
+    std::vector<std::pair<int, int>>& measurements = measured[p];
+    const std::vector<double>& local_probs = program_probs[p];
     // Sort by clbit so bit j of the packed index is measurement j.
     std::sort(measurements.begin(), measurements.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });

@@ -45,10 +45,12 @@ struct ExecOptions {
   bool crosstalk_noise = true;
   std::uint64_t seed = 1234;  ///< sampling seed
 
-  /// Cap on kern::parallel_for worker threads while this run simulates
-  /// (0 = inherit the ambient cap: QUCP_KERNEL_THREADS, else hardware
-  /// concurrency). The ExecutionService sets hw / num_workers here so N
-  /// concurrent batch workers cannot oversubscribe the machine N-fold.
+  /// How many tasks one fan-out of this run may have running at once on
+  /// the process-wide simulation pool (sim/task_pool.hpp): the batch's
+  /// per-program simulations, and kernel chunks issued from the calling
+  /// thread. 0 = inherit the ambient cap (QUCP_KERNEL_THREADS, else
+  /// hardware concurrency); 1 simulates every program inline on the
+  /// caller. Results are bit-identical for every value.
   int kernel_threads = 0;
 
   /// Software crosstalk mitigation by instruction scheduling (Murali et
@@ -109,7 +111,9 @@ struct ParallelRunReport {
 /// scheduled, and simulates as a fused NoisyStream (sim/noisy_stream.hpp).
 /// With gate_noise and idle_noise both off the evolution is unitary and
 /// replays the program's fused CompiledProgram stream (sim/fusion.hpp).
-/// Results are bit-identical for any kernel_threads.
+/// Each program's probability vector is one task on the simulation pool;
+/// measurement packing, readout flips and sampling then run on the caller
+/// in program order, so results are bit-identical for any kernel_threads.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,

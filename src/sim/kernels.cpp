@@ -5,13 +5,14 @@
 #include <cassert>
 #include <cstdlib>
 #include <limits>
+#include <thread>
 
 namespace qucp::kern {
 
 namespace {
 
-/// Per-thread parallel_for cap override (0 = unset). Thread-local so each
-/// ExecutionService worker caps its own kernel fan-out independently.
+/// Per-thread cap override (0 = unset). Thread-local so each caller caps
+/// its own fan-out independently.
 thread_local int t_parallel_threads_override = 0;
 
 /// Process-wide runtime switch for the native kernels. Starts from the
@@ -79,13 +80,17 @@ int resolve_parallel_threads(int override_threads, const char* env_value,
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-int parallel_threads() noexcept {
-  if (t_parallel_threads_override > 0) return t_parallel_threads_override;
+int ambient_parallel_threads() noexcept {
   // Resolve env + hardware once: both re-read the OS on every call.
   static const int ambient = resolve_parallel_threads(
       0, std::getenv("QUCP_KERNEL_THREADS"),
       std::thread::hardware_concurrency());
   return ambient;
+}
+
+int parallel_threads() noexcept {
+  if (t_parallel_threads_override > 0) return t_parallel_threads_override;
+  return ambient_parallel_threads();
 }
 
 void set_parallel_threads(int n) noexcept {

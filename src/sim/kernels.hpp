@@ -15,20 +15,24 @@
 // statevector pass with U on the row bits (q + n) and one with conj(U) on
 // the column bits (q).
 //
-// Kernels whose base loop is large are split across std::thread workers
-// (disjoint index ranges, join before return); small states — everything
-// the paper's <= 5-qubit programs produce — stay single-threaded.
+// Kernels whose base loop is large are split into disjoint index ranges
+// that run as tasks on the process-wide simulation pool
+// (sim/task_pool.hpp), unless the caller is already a pool task: a batch's
+// programs are simulated one per pool task, and their kernels stay on that
+// task's thread. Small states — everything the paper's <= 5-qubit
+// programs produce — stay single-threaded.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "sim/task_pool.hpp"
 
 namespace qucp::kern {
 
-/// Base loops at least this large are split across hardware threads.
+/// Base loops at least this large are split across pool threads.
 inline constexpr std::size_t kParallelGrain = std::size_t{1} << 16;
 
 /// CPU SIMD capabilities relevant to the dense kernels, probed via cpuid.
@@ -65,14 +69,17 @@ void set_native_kernels(bool enable) noexcept;
                                            const char* env_value,
                                            unsigned hardware) noexcept;
 
-/// Effective parallel_for thread cap for the calling thread: the
-/// thread-local override when set, else QUCP_KERNEL_THREADS, else the
-/// hardware concurrency (cached; glibc re-reads sysfs per call). >= 1.
+/// The cap of a thread without an override: QUCP_KERNEL_THREADS, else the
+/// hardware concurrency (resolved once; glibc re-reads sysfs per call).
+/// Also the simulation pool's width. >= 1.
+[[nodiscard]] int ambient_parallel_threads() noexcept;
+
+/// Effective cap for the calling thread — how many tasks one run_tasks()
+/// or parallel_for() call may run at once: the thread-local override when
+/// set, else ambient_parallel_threads(). >= 1.
 [[nodiscard]] int parallel_threads() noexcept;
 
-/// Set (n > 0) or clear (n <= 0) the calling thread's cap. An
-/// ExecutionService worker sets hw/num_workers here so N concurrent batch
-/// simulations cannot oversubscribe the machine N-fold.
+/// Set (n > 0) or clear (n <= 0) the calling thread's cap.
 void set_parallel_threads(int n) noexcept;
 
 /// Scoped thread cap: applies `n` for the guard's lifetime when n > 0, a
@@ -88,16 +95,16 @@ class ParallelThreadsGuard {
   int previous_;
 };
 
-/// Run fn(begin, end) over [0, count), split across up to
-/// parallel_threads() workers when count is at least 2 * grain (kernels
-/// whose iterations are heavier than one element pass a smaller grain).
-/// fn must be race-free on disjoint ranges. Threads are joined before
-/// returning.
+/// Run fn(begin, end) over [0, count), split into up to
+/// parallel_threads() chunks that run as pool tasks when count is at least
+/// 2 * grain (kernels whose iterations are heavier than one element pass a
+/// smaller grain) and the caller is not itself a pool task. fn must be
+/// race-free on disjoint ranges. Every chunk has finished on return.
 template <typename F>
 void parallel_for(std::size_t count, F&& fn,
                   std::size_t grain = kParallelGrain) {
   const auto max_workers = static_cast<std::size_t>(parallel_threads());
-  if (count < 2 * grain || max_workers <= 1) {
+  if (count < 2 * grain || max_workers <= 1 || in_pool_task()) {
     fn(std::size_t{0}, count);
     return;
   }
@@ -106,16 +113,10 @@ void parallel_for(std::size_t count, F&& fn,
   const std::size_t num_chunks =
       std::min<std::size_t>(max_workers, count / grain);
   const std::size_t chunk = (count + num_chunks - 1) / num_chunks;
-  std::vector<std::thread> workers;
-  workers.reserve(num_chunks - 1);
-  for (std::size_t c = 1; c < num_chunks; ++c) {
+  run_tasks((count + chunk - 1) / chunk, [&](std::size_t c) {
     const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
-  fn(std::size_t{0}, std::min(count, chunk));
-  for (std::thread& w : workers) w.join();
+    fn(begin, std::min(count, begin + chunk));
+  });
 }
 
 /// Insert a zero bit at position `bit`: the counter's bits at and above

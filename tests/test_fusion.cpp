@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -297,18 +298,50 @@ TEST(FusionGolden, NoisyStreamFoldsSwapsAndTrailingChannels) {
   }
 }
 
-TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
-  // Every fused kernel is elementwise or blockwise with no cross-block
-  // reduction, so a 9-qubit noisy program (large enough that the pair
-  // passes split across workers) must not move a bit between one and four
-  // kernel threads — the property the service's batch replay relies on.
-  const Device device = make_line_device(9);
-  Rng rng(20221017);
-  std::vector<int> all(9);
-  for (int q = 0; q < 9; ++q) all[static_cast<std::size_t>(q)] = q;
+/// Co-running random programs, one per entry of `sizes`, on disjoint
+/// regions of `device`, each grown next to the ones before it so one-hop
+/// CX pairs can crosstalk.
+std::vector<PhysicalProgram> adjacent_batch(const Device& device, Rng& rng,
+                                            const std::vector<int>& sizes,
+                                            int steps) {
+  std::vector<int> taken;
   std::vector<PhysicalProgram> progs;
-  progs.push_back(
-      {testutil::random_physical_circuit_on(device, rng, all, 60), "wide"});
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::vector<int> region =
+        testutil::random_region(device, rng, sizes[i], taken);
+    taken.insert(taken.end(), region.begin(), region.end());
+    progs.push_back(
+        {testutil::random_physical_circuit_on(device, rng, region, steps),
+         "p" + std::to_string(i)});
+  }
+  return progs;
+}
+
+void expect_bit_identical(const ParallelRunReport& a,
+                          const ParallelRunReport& b, const std::string& label) {
+  ASSERT_EQ(a.programs.size(), b.programs.size()) << label;
+  EXPECT_EQ(a.makespan_ns, b.makespan_ns) << label;
+  EXPECT_EQ(a.crosstalk_events, b.crosstalk_events) << label;
+  for (std::size_t p = 0; p < a.programs.size(); ++p) {
+    EXPECT_EQ(a.programs[p].distribution.probs(),
+              b.programs[p].distribution.probs())
+        << label << " program " << p;
+    EXPECT_EQ(a.programs[p].counts.data(), b.programs[p].counts.data())
+        << label << " program " << p;
+  }
+}
+
+TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
+  // A four-program noisy batch with crosstalk, simulated inline on the
+  // caller (kernel_threads = 1) and as one task per program on the
+  // simulation pool (the default): each task owns its rho and every
+  // program samples from its own derived RNG stream in the serial
+  // epilogue, so not one bit may move — the property the service's batch
+  // replay relies on.
+  const Device device = make_toronto27();
+  Rng rng(20221017);
+  const std::vector<PhysicalProgram> progs =
+      adjacent_batch(device, rng, {9, 4, 3, 2}, 60);
   for (const bool native : {false, true}) {
     struct NativeReset {
       bool was = kern::native_kernels_active();
@@ -316,18 +349,92 @@ TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
     } reset;
     if (native && !kern::native_kernels_active()) continue;
     kern::set_native_kernels(native);
-    ExecOptions one;
-    one.shots = 128;
-    one.kernel_threads = 1;
-    ExecOptions four = one;
-    four.kernel_threads = 4;
-    const ParallelRunReport a = execute_parallel(device, progs, one);
-    const ParallelRunReport b = execute_parallel(device, progs, four);
-    EXPECT_EQ(a.programs[0].distribution.probs(),
-              b.programs[0].distribution.probs())
-        << "native=" << native;
-    EXPECT_EQ(a.programs[0].counts.data(), b.programs[0].counts.data())
-        << "native=" << native;
+    ExecOptions inline_opts;
+    inline_opts.shots = 128;
+    inline_opts.kernel_threads = 1;
+    const ParallelRunReport inline_run =
+        execute_parallel(device, progs, inline_opts);
+    EXPECT_GT(inline_run.crosstalk_events, 0);
+    ExecOptions pooled = inline_opts;
+    pooled.kernel_threads = 0;
+    expect_bit_identical(inline_run, execute_parallel(device, progs, pooled),
+                         "native=" + std::to_string(native));
+  }
+}
+
+TEST(FusionGolden, PoolChunkedDensityKernelsBitIdenticalToSerial) {
+  // Outside a pool task a wide density sweep splits into parallel_for
+  // chunks that run on the pool. Every kernel is elementwise or blockwise
+  // with no cross-chunk reduction, so a 10-qubit rho (2^18 superket quads:
+  // even the one-qubit sweeps split) must match the one-thread sweep bit
+  // for bit.
+  constexpr int kQubits = 10;
+  Rng rng(20221018);
+  Circuit c(kQubits);
+  for (int step = 0; step < 40; ++step) {
+    if (rng.bernoulli(0.4)) {
+      const int a = static_cast<int>(rng.index(kQubits - 1));
+      c.cx(a, a + 1);
+    } else {
+      c.append(random_1q_gate(rng, static_cast<int>(rng.index(kQubits))));
+    }
+  }
+  const CompiledProgram prog = CompiledProgram::compile(c);
+  auto evolve = [&](int cap) {
+    const kern::ParallelThreadsGuard guard(cap);
+    DensityMatrix dm(kQubits);
+    dm.run(prog);
+    for (int q = 0; q < kQubits; ++q) {
+      const int qubits[] = {q};
+      dm.apply_depolarizing(0.01, qubits);
+      dm.apply_relaxation(q, 120.0, 80.0, 60.0);
+    }
+    return std::vector<cx>(dm.data().begin(), dm.data().end());
+  };
+  for (const bool native : {false, true}) {
+    struct NativeReset {
+      bool was = kern::native_kernels_active();
+      ~NativeReset() { kern::set_native_kernels(was); }
+    } reset;
+    if (native && !kern::native_kernels_active()) continue;
+    kern::set_native_kernels(native);
+    EXPECT_TRUE(evolve(1) == evolve(4)) << "native=" << native;
+  }
+}
+
+TEST(FusionGolden, ConcurrentBatchesMatchSequentialRuns) {
+  // Four threads run different noisy batches through execute_parallel at
+  // once, so their program tasks interleave on the shared pool; each
+  // result must equal the same batch run alone, bitwise.
+  const Device device = make_toronto27();
+  std::vector<std::vector<PhysicalProgram>> batches;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(7100 + seed);
+    batches.push_back(adjacent_batch(device, rng, {7, 5, 4, 3}, 60));
+  }
+  ExecOptions opts;
+  opts.shots = 64;
+  std::vector<ParallelRunReport> sequential;
+  int crosstalk_events = 0;
+  for (const auto& batch : batches) {
+    sequential.push_back(execute_parallel(device, batch, opts));
+    crosstalk_events += sequential.back().crosstalk_events;
+  }
+  EXPECT_GT(crosstalk_events, 0);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<ParallelRunReport> concurrent(batches.size());
+    std::vector<std::thread> threads;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      threads.emplace_back([&, b] {
+        concurrent[b] = execute_parallel(device, batches[b], opts);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      expect_bit_identical(sequential[b], concurrent[b],
+                           "round " + std::to_string(round) + " batch " +
+                               std::to_string(b));
+    }
   }
 }
 

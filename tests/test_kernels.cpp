@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -530,6 +533,74 @@ TEST(ParallelFor, CoversEveryElementExactlyOnceUnderAnyCap) {
   }
 }
 
+TEST(TaskPool, FirstExceptionSurfacesAfterTheCallsOtherTasksFinish) {
+  const ThreadCapReset reset;
+  for (int cap : {1, 4}) {
+    kern::set_parallel_threads(cap);
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    try {
+      kern::run_tasks(8, [&](std::size_t i) {
+        ++started;
+        if (i == 1) throw std::domain_error("task 1 failed");
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ++finished;
+      });
+      ADD_FAILURE() << "no exception, cap=" << cap;
+    } catch (const std::domain_error& e) {
+      EXPECT_STREQ(e.what(), "task 1 failed") << "cap=" << cap;
+      // Every started task other than the thrower has already finished.
+      EXPECT_EQ(finished.load(), started.load() - 1) << "cap=" << cap;
+    }
+    // The pool serves the next call as usual.
+    std::vector<int> hits(16, 0);
+    kern::run_tasks(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 16) << "cap=" << cap;
+  }
+}
+
+TEST(TaskPool, ConcurrentNestedCallsFinishWithoutDeadlock) {
+  // Eight outer threads fan out at once, and every task nests a run_tasks
+  // and a parallel_for. Nested calls run inline on the pool thread that
+  // made them (parallel_for as one range), so all of it completes with
+  // each element touched exactly once.
+  constexpr int kOuter = 8;
+  constexpr std::size_t kTasks = 6;
+  const std::size_t count = (std::size_t{2} << 16) + 37;
+  std::vector<int> ok(kOuter, 0);
+  std::vector<std::thread> outer;
+  for (int t = 0; t < kOuter; ++t) {
+    outer.emplace_back([&, t] {
+      kern::set_parallel_threads(4);
+      std::vector<int> good(kTasks, 0);
+      kern::run_tasks(kTasks, [&](std::size_t i) {
+        const std::thread::id self = std::this_thread::get_id();
+        bool inline_nesting = kern::in_pool_task();
+        std::vector<int> touched(count, 0);
+        int ranges = 0;
+        kern::parallel_for(count, [&](std::size_t begin, std::size_t end) {
+          ++ranges;
+          inline_nesting &= std::this_thread::get_id() == self;
+          for (std::size_t k = begin; k < end; ++k) ++touched[k];
+        });
+        std::vector<int> inner(5, 0);
+        kern::run_tasks(inner.size(), [&](std::size_t j) {
+          inline_nesting &= std::this_thread::get_id() == self;
+          ++inner[j];
+        });
+        good[i] = inline_nesting && ranges == 1 &&
+                  std::count(touched.begin(), touched.end(), 1) ==
+                      static_cast<std::ptrdiff_t>(count) &&
+                  std::count(inner.begin(), inner.end(), 1) == 5;
+      });
+      ok[static_cast<std::size_t>(t)] =
+          std::count(good.begin(), good.end(), 1) == kTasks;
+    });
+  }
+  for (std::thread& th : outer) th.join();
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), kOuter);
+}
+
 TEST(ParallelFor, GuardScopesTheCapAndRestoresOnExit) {
   const ThreadCapReset reset;
   kern::set_parallel_threads(6);
@@ -553,8 +624,8 @@ TEST(ParallelFor, CapIsThreadLocal) {
   int other_thread_cap = -1;
   std::thread probe([&] { other_thread_cap = kern::parallel_threads(); });
   probe.join();
-  // A worker thread inherits the ambient cap, not this thread's override —
-  // each ExecutionService worker manages its own budget.
+  // Another thread inherits the ambient cap, not this thread's override —
+  // each caller caps its own fan-out.
   EXPECT_EQ(kern::parallel_threads(), 5);
   EXPECT_NE(other_thread_cap, -1);
   EXPECT_NE(other_thread_cap, 0);

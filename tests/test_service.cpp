@@ -224,6 +224,63 @@ TEST(ExecutionService, UnplaceableJobFailsOthersSurvive) {
   EXPECT_EQ(stats.jobs_completed, 1u);
 }
 
+TEST(ExecutionService, DegenerateJobsFailAloneAtSubmit) {
+  // A gate-less circuit (no active qubit: the candidate index would throw
+  // k <= 0 out of the dispatch cycle) and a measurement-free one (which
+  // would fail every co-runner of its batch) sit between valid jobs. Both
+  // must fail at submit, flush() must return, and the valid jobs must
+  // finish bit-identical to a clean run of the valid jobs alone.
+  Circuit gateless(2, std::nullopt, "gateless");
+  Circuit unmeasured(2, std::nullopt, "unmeasured");
+  unmeasured.h(0);
+  unmeasured.cx(0, 1);
+  std::vector<Circuit> valid;
+  for (std::size_t i = 0; i < 6; ++i) valid.push_back(mix_circuit(i));
+  std::vector<Circuit> mixed = valid;
+  mixed.insert(mixed.begin() + 2, gateless);
+  mixed.insert(mixed.begin() + 5, unmeasured);
+  const std::size_t kGateless = 2;
+  const std::size_t kUnmeasured = 5;
+
+  for (const bool batched : {false, true}) {
+    auto submit = [batched](ExecutionService& service,
+                            const std::vector<Circuit>& circuits) {
+      if (batched) return service.submit_all(circuits);
+      std::vector<JobHandle> handles;
+      for (const Circuit& c : circuits) handles.push_back(service.submit(c));
+      return handles;
+    };
+    ExecutionService clean(make_toronto27(), fast_service_options());
+    const std::vector<JobHandle> expected = submit(clean, valid);
+    clean.flush();
+    ExecutionService service(make_toronto27(), fast_service_options());
+    const std::vector<JobHandle> handles = submit(service, mixed);
+    EXPECT_EQ(handles[kGateless].status(), JobStatus::Failed);
+    EXPECT_EQ(handles[kUnmeasured].status(), JobStatus::Failed);
+    service.flush();
+    EXPECT_EQ(service.pending_jobs(), 0u);
+
+    EXPECT_NE(handles[kGateless].error().find("'gateless' has no active"),
+              std::string::npos)
+        << handles[kGateless].error();
+    EXPECT_NE(
+        handles[kUnmeasured].error().find("'unmeasured' has no measurements"),
+        std::string::npos)
+        << handles[kUnmeasured].error();
+    std::size_t v = 0;
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      if (i == kGateless || i == kUnmeasured) continue;
+      ASSERT_EQ(handles[i].status(), JobStatus::Done) << "batched=" << batched;
+      EXPECT_EQ(outcome_of(handles[i]), outcome_of(expected[v++]))
+          << "job " << i << " batched=" << batched;
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.jobs_submitted, 8u);
+    EXPECT_EQ(stats.jobs_failed, 2u);
+    EXPECT_EQ(stats.jobs_completed, 6u);
+  }
+}
+
 TEST(ExecutionService, StatusLifecycleAndShutdown) {
   ExecutionService service(make_toronto27(), fast_service_options());
   const JobHandle job = service.submit(get_benchmark("bell").circuit);
