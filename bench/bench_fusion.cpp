@@ -19,8 +19,9 @@
 //                should sit at; on a 1-core box (see meta.hw_threads) two
 //                chunks timeshare one core, so ratios <= 1 are expected
 //                and the threshold is left alone.
-//   program_split — ns per execute_parallel of one noisy 4-program GHZ-10
-//                batch on manhattan65, kernel_threads = 1 (every program
+//   program_split — ns per execute_parallel of one noisy batch of four
+//                sweep8-shape programs (8q RyRz x 3, the perfbench sweep8
+//                job) on manhattan65, kernel_threads = 1 (every program
 //                inline on the caller) vs the default cap (one pool task
 //                per program); the two runs are checked bit-identical.
 //   channel_simd — ns per fused noise-channel block pass over the
@@ -513,25 +514,47 @@ std::vector<FusionRow> run_parallel_split_section() {
   return rows;
 }
 
+/// The perfbench sweep8 program shape: 8q RyRz x 3 under a Hadamard
+/// prefix on every other qubit, measured.
+Circuit sweep8_shape() {
+  constexpr int kWidth = 8;
+  Circuit logical(kWidth, kWidth);
+  for (int q = 0; q < kWidth; q += 2) logical.h(q);
+  std::vector<double> angles(
+      static_cast<std::size_t>(ansatz_parameter_count(kWidth, 3)));
+  for (std::size_t i = 0; i < angles.size(); ++i) {
+    angles[i] = 0.05 + 0.37 * static_cast<double>(i);
+  }
+  logical.compose(make_ryrz_ansatz(kWidth, 3, angles));
+  logical.measure_all();
+  return logical;
+}
+
+/// A measured GHZ-10 chain.
+Circuit ghz10() {
+  Circuit ghz(10, 10);
+  ghz.h(0);
+  for (int q = 1; q < 10; ++q) ghz.cx(q - 1, q);
+  ghz.measure_all();
+  return ghz;
+}
+
 std::vector<FusionRow> run_program_split_section() {
   const int rounds = smoke_mode() ? 2 : 5;
   const int reps = smoke_mode() ? 1 : 3;
-  constexpr int kWidth = 10;
   constexpr int kPrograms = 4;
   const Device device = make_manhattan65();
   Backend backend(device);
-  Circuit ghz(kWidth, kWidth);
-  ghz.h(0);
-  for (int q = 1; q < kWidth; ++q) ghz.cx(q - 1, q);
-  ghz.measure_all();
+  const Circuit logical = sweep8_shape();
+  const int width = logical.num_qubits();
   std::vector<int> allocated;
   std::vector<PhysicalProgram> progs;
   for (int p = 0; p < kPrograms; ++p) {
     const std::vector<int> part =
-        partition_candidates(device, kWidth, allocated).front();
+        partition_candidates(device, width, allocated).front();
     allocated.insert(allocated.end(), part.begin(), part.end());
-    progs.push_back({transpile_to_partition(ghz, device, part).physical,
-                     "ghz10_" + std::to_string(p)});
+    progs.push_back({transpile_to_partition(logical, device, part).physical,
+                     "sweep8_" + std::to_string(p)});
   }
   const std::shared_ptr<const CalibrationEpoch> epoch = backend.epoch();
   ExecOptions inline_opts;
@@ -552,9 +575,9 @@ std::vector<FusionRow> run_program_split_section() {
   }
   FusionRow row;
   row.section = "program_split";
-  row.name = "ghz10x4_noisy_batch";
-  row.qubits = kWidth;
-  row.gates = static_cast<std::size_t>(kPrograms * ghz.gate_count());
+  row.name = "sweep8x4_noisy_batch";
+  row.qubits = width;
+  row.gates = static_cast<std::size_t>(kPrograms * logical.gate_count());
   const auto [inline_ns, pooled_ns] = interleaved_best_of(
       rounds, reps,
       [&] { benchmark::DoNotOptimize(epoch->execute(progs, inline_opts)); },
@@ -708,8 +731,8 @@ void print_fusion_tables() {
 
   const std::vector<FusionRow> programs = run_program_split_section();
   bench::heading(
-      "Program split: noisy 4 x GHZ-10 batch, inline vs one pool task per "
-      "program");
+      "Program split: noisy 4 x sweep8-shape batch, inline vs one pool task "
+      "per program");
   bench::row({"batch", "qubits", "inline ns", "pool ns", "speedup"}, 20);
   bench::rule(5, 20);
   for (const FusionRow& r : programs) {
@@ -790,21 +813,8 @@ BENCHMARK(BM_NoiselessExecutorFused)->Arg(1)->Arg(7);
 void noisy_executor(benchmark::State& state, bool fuse) {
   const Device device = make_toronto27();
   Backend backend(device);
-  const int width = state.range(0) == 0 ? 8 : 10;
-  Circuit logical(width, width);
-  if (state.range(0) == 0) {
-    for (int q = 0; q < width; q += 2) logical.h(q);
-    std::vector<double> angles(
-        static_cast<std::size_t>(ansatz_parameter_count(width, 3)));
-    for (std::size_t i = 0; i < angles.size(); ++i) {
-      angles[i] = 0.05 + 0.37 * static_cast<double>(i);
-    }
-    logical.compose(make_ryrz_ansatz(width, 3, angles));
-  } else {
-    logical.h(0);
-    for (int q = 1; q < width; ++q) logical.cx(q - 1, q);
-  }
-  logical.measure_all();
+  const Circuit logical = state.range(0) == 0 ? sweep8_shape() : ghz10();
+  const int width = logical.num_qubits();
   const TranspiledProgram tp = transpile_to_partition(
       logical, device, partition_candidates(device, width, {}).front());
   std::vector<PhysicalProgram> progs;

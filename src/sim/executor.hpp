@@ -108,9 +108,12 @@ struct ParallelRunReport {
 ///
 /// Each program's noise (gate depolarizing with crosstalk gamma, idle
 /// relaxation, gates) becomes a static channel list once the batch is
-/// scheduled, and simulates as a fused NoisyStream (sim/noisy_stream.hpp).
+/// scheduled, and simulates as a fused NoisyStream over its live qubits
+/// (sim/noisy_stream.hpp); a program whose live state would exceed 2^24
+/// elements throws std::invalid_argument before any state is allocated.
 /// With gate_noise and idle_noise both off the evolution is unitary and
-/// replays the program's fused CompiledProgram stream (sim/fusion.hpp).
+/// replays the program's fused CompiledProgram stream (sim/fusion.hpp) on
+/// a full DensityMatrix (at most 12 qubits).
 /// Each program's probability vector is one task on the simulation pool;
 /// measurement packing, readout flips and sampling then run on the caller
 /// in program order, so results are bit-identical for any kernel_threads.

@@ -445,19 +445,20 @@ void apply_compiled(std::span<cx> amps, int n, std::span<const int> targets,
   }
 }
 
-PairGeometry::PairGeometry(int n, int hi, int lo) {
-  assert(hi != lo);
+PairGeometry::PairGeometry(int row_hi, int col_hi, int row_lo, int col_lo)
+    : positions{row_hi, col_hi, row_lo, col_lo} {
   for (std::size_t s = 0; s < 4; ++s) {
-    col_off[s] = ((s >> 1) ? (std::size_t{1} << hi) : 0) |
-                 ((s & 1) ? (std::size_t{1} << lo) : 0);
-    row_off[s] = col_off[s] << n;
+    col_off[s] = ((s >> 1) ? (std::size_t{1} << col_hi) : 0) |
+                 ((s & 1) ? (std::size_t{1} << col_lo) : 0);
+    row_off[s] = ((s >> 1) ? (std::size_t{1} << row_hi) : 0) |
+                 ((s & 1) ? (std::size_t{1} << row_lo) : 0);
   }
-  positions[0] = hi;
-  positions[1] = lo;
-  positions[2] = hi + n;
-  positions[3] = lo + n;
   std::sort(positions, positions + 4);
+  assert(std::adjacent_find(positions, positions + 4) == positions + 4);
 }
+
+PairGeometry::PairGeometry(int n, int hi, int lo)
+    : PairGeometry(hi + n, hi, lo + n, lo) {}
 
 namespace {
 

@@ -210,19 +210,23 @@ struct PairChannel {
   XShape pre_lo;
 };
 
-/// Superket geometry of a PairChannel on an n-qubit density matrix: the
-/// four target bit positions ascending, and the per-local-value offsets of
-/// the row (q + n) and column (q) bits.
+/// Superket geometry of a PairChannel: the four target bit positions
+/// ascending, and the per-local-value offsets of the operands' row and
+/// column bits.
 struct PairGeometry {
   int positions[4] = {};
   std::size_t row_off[4] = {};
   std::size_t col_off[4] = {};
 
+  /// Any four distinct bit positions, in any order: a compressed superket
+  /// keeps only the bits of live qubits.
+  PairGeometry(int row_hi, int col_hi, int row_lo, int col_lo);
+  /// The full n-qubit density matrix: row bit q + n, column bit q.
   PairGeometry(int n, int hi, int lo);
 };
 
 /// Apply `ch` to every 16-element block of the superket `rho` (length
-/// 4^n, geometry `geo`): one gather, the pre-channels, the permutation and
+/// 16 * blocks, geometry `geo`): one gather, the pre-channels, the permutation and
 /// the depolarizing refill, one scatter. Blockwise with no cross-block
 /// reduction, so the result does not depend on how parallel_for splits it.
 void apply_pair_channel(cx* rho, std::size_t blocks, const PairGeometry& geo,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/density.hpp"
 #include "sim/fusion.hpp"
@@ -146,14 +149,21 @@ std::vector<double> replay_channels(int num_qubits,
 
 NoisyStream NoisyStream::build(int num_qubits,
                                std::span<const NoisyChannel> channels) {
+  if (num_qubits < 0 || num_qubits > kMaxQubits) {
+    throw std::invalid_argument("NoisyStream: unsupported width " +
+                                std::to_string(num_qubits) + " (at most " +
+                                std::to_string(kMaxQubits) + " qubits)");
+  }
   NoisyStream stream;
   stream.num_qubits_ = num_qubits;
   const auto n = static_cast<std::size_t>(num_qubits);
   std::vector<Super> pending(n);
   std::vector<char> has_pending(n, 0);
-  std::vector<char> touched(n, 0);
+  std::vector<char> born(n, 0);
   std::vector<std::ptrdiff_t> last(n, -1);  // last op touching each qubit
-  std::vector<Op>& ops = stream.ops_;
+  // Births, dense and pair ops in stream order, operands as qubit ids;
+  // positions are resolved once retirements are known.
+  std::vector<Op> ops;
 
   auto push = [&](int q, const Super& s) {
     if (has_pending[q]) {
@@ -165,6 +175,7 @@ NoisyStream NoisyStream::build(int num_qubits,
   };
   auto flush_dense = [&](int q) {
     Op op;
+    op.kind = Op::Kind::kDense;
     op.q[0] = q;
     op.superop = kern::compile_unitary(pending[q]);
     last[q] = static_cast<std::ptrdiff_t>(ops.size());
@@ -182,15 +193,43 @@ NoisyStream NoisyStream::build(int num_qubits,
     flush_dense(q);
     return false;
   };
+  // `q` enters the state as its pending superoperator applied to |0><0|:
+  // column 0 of the 4x4.
+  auto birth = [&](int q) {
+    Op op;
+    op.kind = Op::Kind::kBirth;
+    op.q[0] = q;
+    if (has_pending[q]) {
+      for (int l = 0; l < 4; ++l) op.coef[l] = pending[q][4 * l];
+      has_pending[q] = 0;
+    } else {
+      op.coef[0] = 1.0;
+    }
+    born[q] = 1;
+    ops.push_back(op);
+  };
+  auto check_operand = [&](int q) {
+    if (q < 0 || q >= num_qubits) {
+      throw std::out_of_range("NoisyStream: qubit out of range");
+    }
+  };
 
   for (const NoisyChannel& ch : channels) {
     const int a = ch.q[0];
     const int b = ch.q[1];
+    check_operand(a);
+    if (ch.width() == 2) {
+      check_operand(b);
+      if (a == b) {
+        throw std::invalid_argument(
+            "NoisyStream: two-qubit channel on one qubit");
+      }
+    }
     switch (ch.kind) {
       case NoisyChannel::Kind::kRelaxation: {
         const RelaxationCoefficients rc =
             RelaxationCoefficients::of(ch.param, ch.t1_us, ch.t2_us);
-        if (touched[a] && ch.param > 0.0) push(a, relaxation_super(rc));
+        if (ch.param > 0.0) push(a, relaxation_super(rc));
         break;
       }
       case NoisyChannel::Kind::kDepolarizing: {
@@ -208,7 +247,6 @@ NoisyStream NoisyStream::build(int num_qubits,
         break;
       }
       case NoisyChannel::Kind::kUnitary: {
-        touched[a] = 1;
         if (ch.width() == 1) {
           push(a, unitary_super(ch.op->sv));
           break;
@@ -217,10 +255,9 @@ NoisyStream NoisyStream::build(int num_qubits,
           throw std::invalid_argument(
               "NoisyStream: two-qubit gates must be lowered to CX");
         }
-        touched[b] = 1;
         const std::ptrdiff_t j = last[a];
         if (!has_pending[a] && !has_pending[b] && j >= 0 && last[b] == j &&
-            ops[static_cast<std::size_t>(j)].pair) {
+            ops[static_cast<std::size_t>(j)].kind == Op::Kind::kPair) {
           // Nothing touched either operand since the previous CX on this
           // pair: fold this CX into that pass's permutation.
           Op& op = ops[static_cast<std::size_t>(j)];
@@ -229,12 +266,21 @@ NoisyStream NoisyStream::build(int num_qubits,
           break;
         }
         Op op;
-        op.pair = true;
         op.q[0] = a;
         op.q[1] = b;
         std::copy(std::begin(kCxHi), std::end(kCxHi), op.channel.dst);
-        const bool pre_hi = take_pre(a, op.channel.pre_hi);
-        const bool pre_lo = take_pre(b, op.channel.pre_lo);
+        bool pre_hi = false;
+        bool pre_lo = false;
+        if (born[a]) {
+          pre_hi = take_pre(a, op.channel.pre_hi);
+        } else {
+          birth(a);
+        }
+        if (born[b]) {
+          pre_lo = take_pre(b, op.channel.pre_lo);
+        } else {
+          birth(b);
+        }
         op.channel.pre = pre_hi || pre_lo;
         last[a] = last[b] = static_cast<std::ptrdiff_t>(ops.size());
         ops.push_back(op);
@@ -242,49 +288,189 @@ NoisyStream NoisyStream::build(int num_qubits,
       }
     }
   }
+
+  // Each born qubit retires right after its last op (always a pair op: a
+  // dense pass is only flushed just before one).
+  std::vector<std::pair<std::ptrdiff_t, int>> retirements;
   for (int q = 0; q < num_qubits; ++q) {
-    if (!has_pending[q]) continue;
-    const Super& s = pending[q];
-    if (population_only(s)) {
-      stream.maps_.push_back(
-          {q, s[0].real(), s[3].real(), s[12].real(), s[15].real()});
-    } else {
-      flush_dense(q);
+    if (born[q]) retirements.emplace_back(last[q], q);
+  }
+  std::sort(retirements.begin(), retirements.end());
+
+  // Resolve positions over the present bit ids: column bit q, row bit
+  // n + q (ids < 48 since n <= 24).
+  std::uint64_t present = 0;
+  int bits = 0;
+  int peak = 0;
+  auto position = [&](int id) {
+    return std::popcount(present & ((std::uint64_t{1} << id) - 1));
+  };
+  auto place = [&](Op& op) {
+    op.bits = bits;
+    op.col = position(op.q[0]);
+    op.row = position(num_qubits + op.q[0]);
+  };
+  auto next = retirements.begin();
+  stream.ops_.reserve(ops.size() + retirements.size() + n);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    Op& op = ops[i];
+    switch (op.kind) {
+      case Op::Kind::kBirth:
+        present |= std::uint64_t{1} << op.q[0];
+        present |= std::uint64_t{1} << (num_qubits + op.q[0]);
+        place(op);
+        bits += 2;
+        break;
+      case Op::Kind::kDense:
+        place(op);
+        break;
+      case Op::Kind::kPair:
+        op.bits = bits;
+        op.geometry = kern::PairGeometry(
+            position(num_qubits + op.q[0]), position(op.q[0]),
+            position(num_qubits + op.q[1]), position(op.q[1]));
+        break;
+      case Op::Kind::kRetire:
+      case Op::Kind::kJoin:
+        break;
+    }
+    peak = std::max(peak, bits);
+    stream.ops_.push_back(op);
+    for (; next != retirements.end() &&
+           next->first == static_cast<std::ptrdiff_t>(i);
+         ++next) {
+      const int q = next->second;
+      Op retire;
+      retire.kind = Op::Kind::kRetire;
+      retire.q[0] = q;
+      place(retire);
+      if (has_pending[q]) {
+        for (int c = 0; c < 4; ++c) {
+          retire.coef[c] = pending[q][c];
+          retire.coef[4 + c] = pending[q][12 + c];
+        }
+      } else {
+        retire.coef[0] = 1.0;
+        retire.coef[7] = 1.0;
+      }
+      present &= ~(std::uint64_t{1} << (num_qubits + q));
+      bits -= 1;
+      stream.ops_.push_back(retire);
     }
   }
+  for (int q = 0; q < num_qubits; ++q) {
+    if (born[q]) continue;
+    Op join;
+    join.kind = Op::Kind::kJoin;
+    join.q[0] = q;
+    present |= std::uint64_t{1} << q;
+    join.bits = bits;
+    join.col = position(q);
+    if (has_pending[q]) {
+      join.coef[0] = pending[q][0];
+      join.coef[1] = pending[q][12];
+    } else {
+      join.coef[0] = 1.0;
+    }
+    bits += 1;
+    peak = std::max(peak, bits);
+    stream.ops_.push_back(join);
+  }
+  if (peak > kMaxStateBits) {
+    throw std::invalid_argument(
+        "NoisyStream: a " + std::to_string(num_qubits) +
+        "-qubit program peaks at " + std::to_string(peak) +
+        " live state bits, above the " + std::to_string(kMaxStateBits) +
+        "-bit cap (2^" + std::to_string(kMaxStateBits) +
+        " density elements, 256 MiB)");
+  }
+  stream.peak_bits_ = peak;
   return stream;
 }
 
 std::vector<double> NoisyStream::run() const {
-  DensityMatrix dm(num_qubits_);
+  std::vector<cx> state(std::size_t{1} << peak_bits_);
+  state[0] = 1.0;
+  cx* const a = state.data();
   for (const Op& op : ops_) {
-    if (op.pair) {
-      dm.apply_pair_channel(op.q[0], op.q[1], op.channel);
-    } else {
-      dm.apply_superop(op.q[0], op.superop);
+    const std::size_t size = std::size_t{1} << op.bits;
+    const std::size_t col = std::size_t{1} << op.col;
+    const std::size_t row = std::size_t{1} << op.row;
+    switch (op.kind) {
+      case Op::Kind::kBirth:
+        // Insert the qubit's two bits. Element t fans out to indices
+        // >= t, and only elements below t remain to be read, so walking t
+        // downward never overwrites an element before it is read.
+        for (std::size_t t = size; t-- > 0;) {
+          const cx v = a[t];
+          const std::size_t base =
+              kern::insert_bit(kern::insert_bit(t, op.col), op.row);
+          a[base] = v * op.coef[0];
+          a[base + col] = v * op.coef[1];
+          a[base + row] = v * op.coef[2];
+          a[base + row + col] = v * op.coef[3];
+        }
+        break;
+      case Op::Kind::kDense: {
+        const int targets[2] = {op.row, op.col};
+        kern::apply_compiled(std::span<cx>(a, size), op.bits, targets,
+                             op.superop);
+        break;
+      }
+      case Op::Kind::kPair:
+        kern::apply_pair_channel(a, size >> 4, op.geometry, op.channel);
+        break;
+      case Op::Kind::kRetire:
+        // Keep each 4-element block's two populations and drop the row
+        // bit. An index block t writes belongs, as an input, to the block
+        // found by removing both bits from it: t with its bits from the
+        // row position up shifted down one, so a block <= t. Walking t
+        // upward therefore reads every element before it is overwritten.
+        for (std::size_t t = 0; t < size >> 2; ++t) {
+          const std::size_t out = kern::insert_bit(t, op.col);
+          const std::size_t base = kern::insert_bit(out, op.row);
+          const cx e[4] = {a[base], a[base + col], a[base + row],
+                           a[base + row + col]};
+          cx p0{0.0, 0.0};
+          cx p1{0.0, 0.0};
+          for (int l = 0; l < 4; ++l) {
+            p0 += op.coef[l] * e[l];
+            p1 += op.coef[4 + l] * e[l];
+          }
+          a[out] = p0;
+          a[out + col] = p1;
+        }
+        break;
+      case Op::Kind::kJoin:
+        // One bit inserted; downward for the same reason as a birth.
+        for (std::size_t t = size; t-- > 0;) {
+          const cx v = a[t];
+          const std::size_t base = kern::insert_bit(t, op.col);
+          a[base] = v * op.coef[0];
+          a[base + col] = v * op.coef[1];
+        }
+        break;
     }
   }
-  std::vector<double> probs = dm.probabilities();
-  for (const PopulationMap& m : maps_) {
-    const std::size_t mask = std::size_t{1} << m.q;
-    for (std::size_t x = 0; x < probs.size(); ++x) {
-      if (x & mask) continue;
-      const double p0 = probs[x];
-      const double p1 = probs[x | mask];
-      probs[x] = m.m00 * p0 + m.m01 * p1;
-      probs[x | mask] = m.m10 * p0 + m.m11 * p1;
-    }
+  std::vector<double> probs(std::size_t{1} << num_qubits_);
+  for (std::size_t x = 0; x < probs.size(); ++x) {
+    probs[x] = std::max(0.0, a[x].real());
   }
   return probs;
 }
 
 std::size_t NoisyStream::dense_passes() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      ops_.begin(), ops_.end(), [](const Op& op) { return !op.pair; }));
+  return static_cast<std::size_t>(
+      std::count_if(ops_.begin(), ops_.end(), [](const Op& op) {
+        return op.kind == Op::Kind::kDense;
+      }));
 }
 
 std::size_t NoisyStream::pair_passes() const noexcept {
-  return ops_.size() - dense_passes();
+  return static_cast<std::size_t>(
+      std::count_if(ops_.begin(), ops_.end(), [](const Op& op) {
+        return op.kind == Op::Kind::kPair;
+      }));
 }
 
 }  // namespace qucp

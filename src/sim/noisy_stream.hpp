@@ -7,9 +7,11 @@
 // after every gate, and thermal relaxation over every idle gap. That
 // NoisyChannel list has two consumers:
 //
-//   - replay_channels() applies every channel as its own density sweep —
-//     the per-op reference the fused path is tested against;
-//   - NoisyStream::build() fuses the list into far fewer sweeps:
+//   - replay_channels() applies every channel as its own sweep over the
+//     full 4^n density matrix — the per-op reference the stream is tested
+//     against;
+//   - NoisyStream::build() fuses the list into far fewer sweeps, each over
+//     the program's live qubits only:
 //       * each qubit's run of one-qubit channels (relaxation, unitaries,
 //         depolarizing) between two-qubit gates folds into one 4x4
 //         superoperator;
@@ -18,11 +20,23 @@
 //         kern::PairChannel block pass; pending superoperators of X shape
 //         (kern::XShape: relaxation, depolarizing, diagonal unitaries) ride
 //         along as its pre-channels, anything else gets one dense 4x4 pass;
-//       * relaxation on a qubit no gate has touched yet is dropped: on
-//         |0><0| (x) rho it is exactly the identity;
-//       * a superoperator still pending after a qubit's last gate that
-//         maps populations to populations acts on the final probability
-//         vector as a 2x2 stochastic map instead of sweeping rho.
+//       * a qubit is a product factor until its first CX, so it joins the
+//         state there (birth) as the 2x2 density matrix its pending
+//         superoperator makes of |0><0|;
+//       * after its last CX a qubit only contributes its populations: its
+//         trailing superoperator is applied once, the two population
+//         entries of each 2x2 block are kept and its row bit is dropped
+//         (retirement); its column bit stays on as a classical bit;
+//       * a qubit with no CX joins only as that classical bit, at the end.
+//
+// The state is the superket of the live qubits, compressed: of the full
+// layout's bit ids (column bit q, row bit q + n) only those present at
+// that moment are stored, a bit's position being the number of present
+// ids below it. build() resolves every op's positions and the peak state
+// size (at most the 2n bits of a full rho); run() allocates 2^peak
+// elements once and walks the ops. Once every qubit has retired or joined,
+// only the n column bits remain, in order, so the buffer is the
+// probability vector.
 //
 // The fused stream is rebuilt per program per batch (gamma and gaps depend
 // on the co-runners); building is O(channels) with 4x4 products only.
@@ -56,41 +70,53 @@ struct NoisyChannel {
 [[nodiscard]] std::vector<double> replay_channels(
     int num_qubits, std::span<const NoisyChannel> channels);
 
-/// A fused noisy channel stream (see the file comment).
+/// A fused noisy channel stream over live qubits (see the file comment).
 class NoisyStream {
  public:
+  /// Largest accepted width, and largest state a stream may peak at
+  /// (2^24 elements, 256 MiB: a 12-qubit density matrix).
+  static constexpr int kMaxQubits = 24;
+  static constexpr int kMaxStateBits = 24;
+
   /// Fuse `channels`. Two-qubit unitaries must be CX gates (the executor
-  /// lowers everything else first); throws std::invalid_argument on
-  /// channel parameters the per-op replay would also reject.
+  /// lowers everything else first). Throws std::invalid_argument on
+  /// channel parameters the per-op replay would also reject, on widths
+  /// above kMaxQubits, and — before any state is allocated — on streams
+  /// whose live state would exceed kMaxStateBits bits; std::out_of_range
+  /// on an operand outside [0, num_qubits).
   [[nodiscard]] static NoisyStream build(
       int num_qubits, std::span<const NoisyChannel> channels);
 
   /// Replay on |0..0><0..0| and return the final populations.
   [[nodiscard]] std::vector<double> run() const;
 
-  /// Sweeps over rho: dense one-qubit superoperator passes and fused pair
-  /// passes; and the 2x2 maps applied to the probability vector instead.
+  /// Sweeps over the state: dense one-qubit superoperator passes and
+  /// fused pair passes (births, retirements and joins not counted).
   [[nodiscard]] std::size_t dense_passes() const noexcept;
   [[nodiscard]] std::size_t pair_passes() const noexcept;
-  [[nodiscard]] std::size_t population_maps() const noexcept {
-    return maps_.size();
-  }
+  /// Largest number of superket bits held at once (2n for a full rho).
+  [[nodiscard]] int peak_state_bits() const noexcept { return peak_bits_; }
 
  private:
   struct Op {
-    bool pair = false;
-    int q[2] = {-1, -1};            ///< pair: (hi, lo); else q[0]
-    kern::CompiledUnitary superop;  ///< !pair: 4x4 on (q + n, q)
-    kern::PairChannel channel;      ///< pair
-  };
-  struct PopulationMap {
-    int q = 0;
-    double m00 = 1.0, m01 = 0.0, m10 = 0.0, m11 = 1.0;
+    enum class Kind : std::uint8_t { kBirth, kDense, kPair, kRetire, kJoin };
+    Kind kind = Kind::kPair;
+    int q[2] = {-1, -1};  ///< operands (qubit ids); kPair: (hi, lo)
+    int bits = 0;         ///< state bits before the op
+    int col = 0;          ///< the qubit's column bit position (not kPair)
+    int row = 0;          ///< its row bit position (kBirth/kDense/kRetire)
+    /// kBirth: the qubit's 2x2 rho, local index (row << 1) | column;
+    /// kRetire: rows 0 and 3 of its trailing superoperator;
+    /// kJoin: its populations (p0, p1).
+    cx coef[8] = {};
+    kern::CompiledUnitary superop;            ///< kDense: 4x4 on (row, col)
+    kern::PairChannel channel;                ///< kPair
+    kern::PairGeometry geometry{0, 1, 2, 3};  ///< kPair
   };
 
   int num_qubits_ = 0;
+  int peak_bits_ = 0;
   std::vector<Op> ops_;
-  std::vector<PopulationMap> maps_;
 };
 
 }  // namespace qucp

@@ -1,9 +1,10 @@
 #pragma once
 // Shared randomized-circuit helpers for the simulator golden suites
-// (test_fusion.cpp, test_noisy_golden.cpp): the bundled topologies, a
-// distribution distance, and seeded random physical circuits on connected
-// device regions. Every helper draws from the caller's Rng in a fixed
-// order, so a seed pins the circuit exactly.
+// (test_fusion.cpp, test_noisy_golden.cpp, test_executor.cpp): the bundled
+// topologies, a distribution distance, seeded random physical circuits on
+// connected device regions, and hand-built noisy channel lists. Every
+// helper draws from the caller's Rng in a fixed order, so a seed pins the
+// circuit exactly.
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +17,8 @@
 #include "common/rng.hpp"
 #include "hardware/device.hpp"
 #include "sim/counts.hpp"
+#include "sim/fusion.hpp"
+#include "sim/noisy_stream.hpp"
 
 namespace qucp::testutil {
 
@@ -146,6 +149,49 @@ inline Circuit random_physical_circuit(const Device& device, Rng& rng,
                                        int region_size, int steps) {
   const std::vector<int> region = random_region(device, rng, region_size);
   return random_physical_circuit_on(device, rng, region, steps);
+}
+
+/// The noisy channel list the executor would emit for `low` (lowered to
+/// CX, compiled to `kernels`, which must outlive the list) without a
+/// schedule, on qubits shifted by `offset`: with `relax_first` relaxation
+/// on every qubit before any gate, each gate followed by its depolarizing
+/// channel, and relaxation after every one-qubit gate. With `noisy` unset
+/// only the gate unitaries are emitted.
+inline std::vector<NoisyChannel> hand_built_channels(
+    const Circuit& low, const std::vector<FusedOp>& kernels,
+    bool relax_first, bool noisy = true, int offset = 0) {
+  std::vector<NoisyChannel> channels;
+  auto relax = [&](int q) {
+    if (!noisy) return;
+    NoisyChannel ch;
+    ch.kind = NoisyChannel::Kind::kRelaxation;
+    ch.q[0] = q + offset;
+    ch.param = 250.0;
+    ch.t1_us = 80.0;
+    ch.t2_us = 60.0;
+    channels.push_back(ch);
+  };
+  if (relax_first) {
+    for (int q = 0; q < low.num_qubits(); ++q) relax(q);
+  }
+  for (std::size_t i = 0; i < low.size(); ++i) {
+    const Gate& g = low.ops()[i];
+    if (g.kind == GateKind::Measure || g.kind == GateKind::Barrier) continue;
+    NoisyChannel gate;
+    gate.op = &kernels[i];
+    for (std::size_t k = 0; k < g.qubits.size(); ++k) {
+      gate.q[k] = g.qubits[k] + offset;
+    }
+    channels.push_back(gate);
+    if (!noisy) continue;
+    NoisyChannel depol = gate;
+    depol.kind = NoisyChannel::Kind::kDepolarizing;
+    depol.op = nullptr;
+    depol.param = g.qubits.size() == 2 ? 0.02 : 0.004;
+    channels.push_back(depol);
+    if (g.qubits.size() == 1) relax(g.qubits[0]);
+  }
+  return channels;
 }
 
 }  // namespace qucp::testutil

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "circuit/decompose.hpp"
 #include "common/rng.hpp"
 #include "metrics/metrics.hpp"
+#include "sim/noisy_stream.hpp"
 #include "sim/statevector.hpp"
+#include "random_circuits.hpp"
 
 namespace qucp {
 namespace {
@@ -243,6 +251,105 @@ TEST(Executor, ValidatesOptions) {
   opts.shots = 0;
   EXPECT_THROW((void)execute_single(d, c, opts), std::invalid_argument);
   EXPECT_THROW((void)execute_parallel(d, {}, {}), std::invalid_argument);
+}
+
+Circuit ghz_chain(int n) {
+  Circuit c(n, n);
+  c.h(0);
+  for (int q = 1; q < n; ++q) c.cx(q - 1, q);
+  c.measure_all();
+  return c;
+}
+
+TEST(Executor, RejectsStreamsPastTheStateCap) {
+  // A 13q brickwork keeps every qubit live from its first layer to its
+  // last: 26 state bits, past the 24-bit cap. The noisy stream refuses it
+  // before allocating anything, naming the width and the peak.
+  constexpr int kWidth = 13;
+  const Device d = quiet_line(kWidth);
+  Rng rng(1313);
+  Circuit c(kWidth, kWidth);
+  for (int layer = 0; layer < 4; ++layer) {
+    for (int q = layer % 2; q + 1 < kWidth; q += 2) c.cx(q, q + 1);
+    for (int q = 0; q < kWidth; ++q) {
+      c.append(testutil::random_1q_gate(rng, q));
+    }
+  }
+  c.measure_all();
+  std::string message;
+  try {
+    (void)execute_parallel(d, {{c, "brick13"}}, ExecOptions{});
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("13-qubit"), std::string::npos) << message;
+  EXPECT_NE(message.find("26 live state bits"), std::string::npos) << message;
+}
+
+TEST(Executor, WideChainsStayUnderTheStateCap) {
+  // A GHZ chain's live width stays small however long it is: 16 qubits
+  // (a 64 GiB full rho) peak at 18 bits.
+  constexpr int kWidth = 16;
+  const Circuit low = lower_to_cx_basis(ghz_chain(kWidth));
+  const std::vector<FusedOp> kernels = compile_ops(low);
+  const std::vector<NoisyChannel> channels = testutil::hand_built_channels(
+      low, kernels, /*relax_first=*/false, /*noisy=*/false);
+  const NoisyStream stream = NoisyStream::build(kWidth, channels);
+  EXPECT_EQ(stream.peak_state_bits(), kWidth + 2);
+  const std::vector<double> probs = stream.run();
+  ASSERT_EQ(probs.size(), std::size_t{1} << kWidth);
+  const std::size_t ones = probs.size() - 1;
+  for (std::size_t x = 0; x < probs.size(); ++x) {
+    const double want = (x == 0 || x == ones) ? 0.5 : 0.0;
+    ASSERT_NEAR(probs[x], want, 1e-12) << "basis " << x;
+  }
+  // Through the executor with every noise source on: the two GHZ
+  // outcomes stay the two most likely ones.
+  const ProgramOutcome out =
+      execute_single(quiet_line(kWidth), ghz_chain(kWidth), ExecOptions{});
+  double total = 0.0;
+  double others = 0.0;
+  for (const auto& [outcome, p] : out.distribution.probs()) {
+    total += p;
+    if (outcome != 0 && outcome != ones) others = std::max(others, p);
+  }
+  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_GT(out.distribution.prob(0), others);
+  EXPECT_GT(out.distribution.prob(ones), others);
+}
+
+TEST(Executor, IndependentHalvesStreamAsTheirProduct) {
+  // Two unrelated 7q programs in one 14q channel list, one after the
+  // other: the stream's populations are the outer product of the halves'
+  // per-op replays.
+  constexpr int kHalf = 7;
+  const Device line = make_line_device(kHalf);
+  Rng rng(714);
+  std::vector<Circuit> lows;
+  for (int h = 0; h < 2; ++h) {
+    lows.push_back(lower_to_cx_basis(
+        testutil::random_physical_circuit(line, rng, kHalf, 40)));
+  }
+  const std::vector<FusedOp> kernels_a = compile_ops(lows[0]);
+  const std::vector<FusedOp> kernels_b = compile_ops(lows[1]);
+  const std::vector<NoisyChannel> half_a =
+      testutil::hand_built_channels(lows[0], kernels_a, true);
+  const std::vector<NoisyChannel> half_b =
+      testutil::hand_built_channels(lows[1], kernels_b, true);
+  std::vector<NoisyChannel> both = half_a;
+  const std::vector<NoisyChannel> shifted = testutil::hand_built_channels(
+      lows[1], kernels_b, true, /*noisy=*/true, /*offset=*/kHalf);
+  both.insert(both.end(), shifted.begin(), shifted.end());
+  const std::vector<double> pa = replay_channels(kHalf, half_a);
+  const std::vector<double> pb = replay_channels(kHalf, half_b);
+  const NoisyStream stream = NoisyStream::build(2 * kHalf, both);
+  EXPECT_LE(stream.peak_state_bits(), NoisyStream::kMaxStateBits);
+  const std::vector<double> probs = stream.run();
+  ASSERT_EQ(probs.size(), pa.size() * pb.size());
+  for (std::size_t x = 0; x < probs.size(); ++x) {
+    ASSERT_NEAR(probs[x], pa[x % pa.size()] * pb[x / pa.size()], 1e-10)
+        << "basis " << x;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,6 +39,7 @@ namespace {
 
 using testutil::bundled_devices;
 using testutil::dist_diff;
+using testutil::hand_built_channels;
 using testutil::random_1q_gate;
 using testutil::random_physical_circuit;
 
@@ -242,12 +244,25 @@ TEST(FusionGolden, NoisyExecutorFusedStreamMatchesPerOpReplay) {
   EXPECT_GT(crosstalk_runs, 0);
 }
 
+void expect_stream_matches_replay(const NoisyStream& stream, int num_qubits,
+                                  std::span<const NoisyChannel> channels) {
+  const std::vector<double> fused = stream.run();
+  const std::vector<double> per_op = replay_channels(num_qubits, channels);
+  ASSERT_EQ(fused.size(), per_op.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    EXPECT_NEAR(fused[i], per_op[i], kTol) << "basis " << i;
+  }
+}
+
 TEST(FusionGolden, NoisyStreamFoldsSwapsAndTrailingChannels) {
   // Structure of the fused stream on a hand-built channel list: a SWAP
-  // (three CX on one pair) folds into one pair pass, relaxation before any
-  // gate is dropped, X-shaped pending channels ride along as pre-channels,
-  // and the channels after each qubit's last gate become population maps
-  // unless they need coherences (the trailing H stays a dense pass).
+  // (three CX on one pair) folds into one pair pass, each qubit's
+  // channels before its first CX (relaxation included) enter with
+  // it (the RZ on qubit 0, the RY on qubit 2) and the channels after its
+  // last CX leave with it (the X on qubit 0, the H on qubit 2), so no
+  // dense pass is left. Qubit 0 retires before qubit 2 is born: the state
+  // peaks at 5 bits (the column bit of 0, both bits of 1 and 2) where the
+  // full rho holds 6.
   Circuit c(3, 3);
   c.rz(0.3, 0);
   c.swap(0, 1);
@@ -258,44 +273,41 @@ TEST(FusionGolden, NoisyStreamFoldsSwapsAndTrailingChannels) {
   c.measure_all();
   const Circuit low = lower_to_cx_basis(c);
   const std::vector<FusedOp> kernels = compile_ops(low);
-  std::vector<NoisyChannel> channels;
-  auto relax = [&](int q) {
-    NoisyChannel ch;
-    ch.kind = NoisyChannel::Kind::kRelaxation;
-    ch.q[0] = q;
-    ch.param = 250.0;
-    ch.t1_us = 80.0;
-    ch.t2_us = 60.0;
-    channels.push_back(ch);
-  };
-  for (int q = 0; q < 3; ++q) relax(q);  // before any gate: dropped
-  for (std::size_t i = 0; i < low.size(); ++i) {
-    const Gate& g = low.ops()[i];
-    if (g.kind == GateKind::Measure) continue;
-    NoisyChannel gate;
-    gate.op = &kernels[i];
-    for (std::size_t k = 0; k < g.qubits.size(); ++k) gate.q[k] = g.qubits[k];
-    channels.push_back(gate);
-    NoisyChannel depol = gate;
-    depol.kind = NoisyChannel::Kind::kDepolarizing;
-    depol.op = nullptr;
-    depol.param = g.qubits.size() == 2 ? 0.02 : 0.004;
-    channels.push_back(depol);
-    if (g.qubits.size() == 1) relax(g.qubits[0]);
-  }
-  relax(1);
+  std::vector<NoisyChannel> channels =
+      hand_built_channels(low, kernels, /*relax_first=*/true);
+  NoisyChannel trailing;
+  trailing.kind = NoisyChannel::Kind::kRelaxation;
+  trailing.q[0] = 1;
+  trailing.param = 400.0;
+  trailing.t1_us = 70.0;
+  trailing.t2_us = 50.0;
+  channels.push_back(trailing);
   const NoisyStream stream = NoisyStream::build(3, channels);
   EXPECT_EQ(stream.pair_passes(), 2u);  // the SWAP, then CX(1, 2)
-  // RY on qubit 2 is dense before its CX; H on qubit 2 trails densely.
-  EXPECT_EQ(stream.dense_passes(), 2u);
-  // Qubits 0 (X) and 1 (relaxation only) end population-only.
-  EXPECT_EQ(stream.population_maps(), 2u);
-  const std::vector<double> fused = stream.run();
-  const std::vector<double> per_op = replay_channels(3, channels);
-  ASSERT_EQ(fused.size(), per_op.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_NEAR(fused[i], per_op[i], kTol) << "basis " << i;
-  }
+  EXPECT_EQ(stream.dense_passes(), 0u);
+  EXPECT_EQ(stream.peak_state_bits(), 5);
+  expect_stream_matches_replay(stream, 3, channels);
+}
+
+TEST(FusionGolden, NoisyStreamGhzChainHoldsOnlyLiveQubits) {
+  // An unrouted GHZ-10 chain: qubit q is born at CX(q-1, q) and qubit q-1
+  // retires right after it, so the state never holds more than the
+  // classical bits of 0..7 plus both bits of 8 and 9 — 12 bits, not 20.
+  constexpr int kWidth = 10;
+  Circuit c(kWidth, kWidth);
+  c.h(0);
+  for (int q = 1; q < kWidth; ++q) c.cx(q - 1, q);
+  for (int q = 0; q < kWidth; ++q) c.rx(0.1 * (q + 1), q);
+  c.measure_all();
+  const Circuit low = lower_to_cx_basis(c);
+  const std::vector<FusedOp> kernels = compile_ops(low);
+  const std::vector<NoisyChannel> channels =
+      hand_built_channels(low, kernels, /*relax_first=*/false);
+  const NoisyStream stream = NoisyStream::build(kWidth, channels);
+  EXPECT_EQ(stream.pair_passes(), static_cast<std::size_t>(kWidth - 1));
+  EXPECT_EQ(stream.dense_passes(), 0u);
+  EXPECT_EQ(stream.peak_state_bits(), 12);
+  expect_stream_matches_replay(stream, kWidth, channels);
 }
 
 /// Co-running random programs, one per entry of `sizes`, on disjoint
@@ -843,6 +855,42 @@ TEST(NativeKernels, ScalarAndNativePairChannelAgree) {
               << "n=" << n << " hi=" << hi << " lo=" << lo << " pre=" << pre;
         }
       }
+    }
+  }
+  // Compressed live-qubit layouts: any four distinct positions of a
+  // 4..9-bit superket as (row hi, col hi, row lo, col lo), so row bits
+  // are not column bits + n and the operands' bits interleave in every
+  // order — position 0 included, which takes the one-block body.
+  for (int bits = 4; bits <= 9; ++bits) {
+    std::vector<cx> state(std::size_t{1} << bits);
+    for (cx& v : state) v = cx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<int> pos(static_cast<std::size_t>(bits));
+      for (int b = 0; b < bits; ++b) pos[static_cast<std::size_t>(b)] = b;
+      for (int k = 0; k < 4; ++k) {  // partial Fisher-Yates: 4 distinct
+        const std::size_t pick =
+            static_cast<std::size_t>(k) +
+            rng.index(pos.size() - static_cast<std::size_t>(k));
+        std::swap(pos[static_cast<std::size_t>(k)], pos[pick]);
+      }
+      const kern::PairGeometry geo(pos[0], pos[1], pos[2], pos[3]);
+      kern::PairChannel ch;
+      const int* perm = kPerms[rng.index(4)];
+      std::copy(perm, perm + 4, ch.dst);
+      ch.c1 = 1.0 - rng.uniform(0.0, 0.1);
+      ch.fill_scale = (1.0 - ch.c1) * 0.25;
+      ch.pre = trial % 2 == 1;
+      ch.pre_hi = {0.9, 0.1, 0.05, 0.95, 0.8, 0.3, 0.8, -0.3};
+      ch.pre_lo = {0.97, 0.2, 0.03, 0.8, 0.6, -0.5, 0.6, 0.5};
+      const auto run = [&](bool native) {
+        kern::set_native_kernels(native);
+        std::vector<cx> out = state;
+        kern::apply_pair_channel(out.data(), out.size() >> 4, geo, ch);
+        return out;
+      };
+      EXPECT_LT(state_diff(run(false), run(true)), kTol)
+          << "bits=" << bits << " positions " << pos[0] << " " << pos[1]
+          << " " << pos[2] << " " << pos[3] << " pre=" << ch.pre;
     }
   }
 }

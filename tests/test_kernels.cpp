@@ -497,6 +497,30 @@ struct ThreadCapReset {
   ~ThreadCapReset() { kern::set_parallel_threads(0); }
 };
 
+TEST(KernelGolden, PairGeometryFullWidthIsTheFourPositionLayout) {
+  // PairGeometry(n, hi, lo) is the compressed-layout constructor at row
+  // bits q + n and column bits q.
+  for (int n = 2; n <= 6; ++n) {
+    for (int hi = 0; hi < n; ++hi) {
+      for (int lo = 0; lo < n; ++lo) {
+        if (hi == lo) continue;
+        const kern::PairGeometry full(n, hi, lo);
+        const kern::PairGeometry four(hi + n, hi, lo + n, lo);
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(full.positions[i], four.positions[i]);
+          EXPECT_EQ(full.row_off[i], four.row_off[i]);
+          EXPECT_EQ(full.col_off[i], four.col_off[i]);
+        }
+        EXPECT_TRUE(std::is_sorted(four.positions, four.positions + 4));
+        EXPECT_EQ(four.row_off[3], (std::size_t{1} << (hi + n)) |
+                                       (std::size_t{1} << (lo + n)));
+        EXPECT_EQ(four.col_off[2], std::size_t{1} << hi);
+        EXPECT_EQ(four.col_off[1], std::size_t{1} << lo);
+      }
+    }
+  }
+}
+
 TEST(ParallelFor, ResolvesZeroHardwareConcurrencyToSerial) {
   // The standard allows hardware_concurrency() to report 0 ("unknown");
   // the resolver must map that to 1 worker, not feed 0 into the chunk
