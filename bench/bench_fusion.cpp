@@ -767,9 +767,9 @@ void BM_IdealFused(benchmark::State& state) {
 }
 BENCHMARK(BM_IdealFused)->Arg(1)->Arg(7);
 
-// Noiseless density executor (ROADMAP (f)): the per-op reference replay
+// Noiseless executor (ROADMAP (f)): the per-op density reference replay
 // (execute_parallel_reference) vs the fused CompiledProgram stream the
-// executor consumes when gate and idle noise are both off. Same Backend
+// executor runs on a statevector when gate and idle noise are both off. Same Backend
 // program cache and derived noise (warm) on both sides so the timer
 // isolates the replay itself.
 void noiseless_executor(benchmark::State& state, bool fuse) {

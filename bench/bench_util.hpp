@@ -4,11 +4,13 @@
 // Every bench binary prints its paper artifact (table or figure series)
 // first, then runs google-benchmark timers over the underlying kernels, so
 // `for b in build/bench/*; do $b; done` regenerates the whole evaluation.
+// A --benchmark_filter other than NONE runs the selected timers alone.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -79,12 +81,30 @@ inline void rule(std::size_t cells, int width = 14) {
                           .c_str());
 }
 
+/// False when argv picks timers with a --benchmark_filter other than NONE
+/// (the last one given counts, as in google-benchmark): such a run skips
+/// the paper artifact, so it neither spends the tables' time nor rewrites
+/// the BENCH_*.json files with them. An empty filter or "all" selects
+/// every timer and counts as no filter.
+inline bool tables_requested(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--benchmark_filter=";
+  std::string_view filter;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg.substr(0, kFlag.size()) == kFlag) filter = arg.substr(kFlag.size());
+  }
+  return filter.empty() || filter == "all" || filter == "NONE";
+}
+
 }  // namespace qucp::bench
 
-/// Print the paper artifact, then hand over to google-benchmark.
+/// Print the paper artifact unless the arguments pick timers only (see
+/// tables_requested), then hand over to google-benchmark.
 #define QUCP_BENCH_MAIN(print_artifact)                  \
   int main(int argc, char** argv) {                      \
-    print_artifact();                                    \
+    if (::qucp::bench::tables_requested(argc, argv)) {   \
+      print_artifact();                                  \
+    }                                                    \
     ::benchmark::Initialize(&argc, argv);                \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();               \

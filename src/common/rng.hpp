@@ -15,6 +15,20 @@
 
 namespace qucp {
 
+/// The double std::generate_canonical<double, 53> makes of one raw
+/// mt19937_64 draw `u` under libstdc++: u / 2^64, rounded once to
+/// nearest, clamped to nextafter(1, 0). Both 32-bit halves of u convert
+/// exactly and scaling by 2^32 is exact, so their sum rounds once to the
+/// correctly rounded double(u) without the branch a 64-bit unsigned
+/// conversion compiles to.
+[[nodiscard]] inline double canonical_double(std::uint64_t u) noexcept {
+  const double d =
+      static_cast<double>(static_cast<std::uint32_t>(u >> 32)) * 0x1p32 +
+      static_cast<double>(static_cast<std::uint32_t>(u));
+  const double r = d * 0x1p-64;
+  return r < 1.0 ? r : 0x1.fffffffffffffp-1;
+}
+
 /// Deterministic pseudo-random generator with named substream derivation.
 ///
 /// Wraps a 64-bit Mersenne Twister seeded through SplitMix64 so that nearby
@@ -28,8 +42,9 @@ class Rng {
   /// Deriving is a pure function of (seed, tag): it does not advance *this.
   [[nodiscard]] Rng derive(std::string_view tag) const;
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() { return unit_(engine_); }
+  /// Uniform double in [0, 1): bitwise what
+  /// std::uniform_real_distribution<double>(0, 1) draws from the engine.
+  [[nodiscard]] double uniform() { return canonical_double(engine_()); }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   [[nodiscard]] double uniform(double lo, double hi);
@@ -74,7 +89,6 @@ class Rng {
   static std::uint64_t split_mix64(std::uint64_t x);
 
   std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::uint64_t seed_ = 0;
 };
 

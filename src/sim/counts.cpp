@@ -142,6 +142,18 @@ std::size_t cdf_index(std::span<const double> cdf, double r) noexcept {
   return idx == cdf.size() ? cdf.size() - 1 : idx;
 }
 
+GuidedCdf::GuidedCdf(std::vector<double> cdf)
+    : cdf_(std::move(cdf)), guide_(cdf_.size()) {
+  const auto slices = static_cast<double>(cdf_.size());
+  scale_ = slices / cdf_.back();
+  std::size_t i = 0;
+  for (std::size_t g = 0; g < guide_.size(); ++g) {
+    const double lower = static_cast<double>(g) / scale_;
+    while (i + 1 < cdf_.size() && cdf_[i] <= lower) ++i;
+    guide_[g] = i;
+  }
+}
+
 }  // namespace detail
 
 Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
@@ -155,7 +167,7 @@ Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
   // Prefix sums accumulated left to right — the identical summation and
   // strict r < cdf[i] comparison Rng::discrete performs, so the sampled
   // index stream is bit-for-bit the one a per-shot discrete() would give,
-  // at a binary search instead of a linear scan per shot.
+  // at an O(1) expected guided lookup instead of a linear scan per shot.
   std::vector<double> cdf;
   cdf.reserve(entries.size());
   double acc = 0.0;
@@ -164,9 +176,10 @@ Counts sample_counts(const Distribution& dist, int shots, Rng& rng) {
     cdf.push_back(acc);
   }
   const double total = acc;
+  const detail::GuidedCdf guided(std::move(cdf));
   std::vector<int> hits(entries.size(), 0);
   for (int s = 0; s < shots; ++s) {
-    ++hits[detail::cdf_index(cdf, rng.uniform() * total)];
+    ++hits[guided.index(rng.uniform() * total)];
   }
   Counts counts(dist.num_bits(), {});
   for (std::size_t i = 0; i < entries.size(); ++i) {

@@ -87,14 +87,44 @@ class Counts {
 
 namespace detail {
 
-/// Bucket index of draw `r` against an inclusive prefix-sum CDF (the
-/// sample_counts binary search): the first entry with cdf[i] > r, clamped
+/// Bucket index of draw `r` against an inclusive prefix-sum CDF, by
+/// binary search (the reference GuidedCdf::index reproduces, and so the
+/// bucket sample_counts picks): the first entry with cdf[i] > r, clamped
 /// to the last bucket. The clamp is load-bearing: left-to-right
 /// accumulation can leave cdf.back() fractionally below the true total, so
 /// a uniform draw near 1.0 (scaled to that total) would otherwise index
 /// one past the end. Requires a non-empty, non-decreasing cdf.
 [[nodiscard]] std::size_t cdf_index(std::span<const double> cdf,
                                     double r) noexcept;
+
+/// An inclusive prefix-sum CDF with a guide table for O(1) expected
+/// lookups: [0, cdf.back()) is cut into cdf.size() equal slices, and each
+/// slice remembers the bucket of its lower end. A lookup starts at its
+/// slice's entry and steps down, then up, until the bucket is exact, so
+/// index(r) == cdf_index(cdf, r) for every r, whatever the rounding of the
+/// slice arithmetic. Requires a non-empty, non-decreasing cdf with
+/// cdf.back() > 0.
+class GuidedCdf {
+ public:
+  explicit GuidedCdf(std::vector<double> cdf);
+
+  [[nodiscard]] std::size_t index(double r) const noexcept {
+    const double s = r * scale_;
+    const std::size_t last = cdf_.size() - 1;
+    std::size_t i = guide_[last];
+    if (s < static_cast<double>(last)) {
+      i = guide_[s > 0.0 ? static_cast<std::size_t>(s) : 0];
+    }
+    while (i > 0 && cdf_[i - 1] > r) --i;
+    while (i < last && cdf_[i] <= r) ++i;
+    return i;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;  ///< bucket of each slice's lower end
+  double scale_ = 0.0;              ///< slices per unit of r
+};
 
 }  // namespace detail
 

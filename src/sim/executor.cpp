@@ -7,11 +7,11 @@
 
 #include "circuit/decompose.hpp"
 #include "circuit/gate_cache.hpp"
-#include "sim/density.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
 #include "sim/noise.hpp"
 #include "sim/noisy_stream.hpp"
+#include "sim/statevector.hpp"
 #include "sim/task_pool.hpp"
 
 namespace qucp {
@@ -367,7 +367,7 @@ ParallelRunReport run_batch(const Device& device,
   // No gate and no idle channels leave a purely unitary evolution
   // (crosstalk only amplifies gate depolarizing, and readout error applies
   // to the measurement probabilities afterwards), so the fused path replays
-  // the executable's fused CompiledProgram stream.
+  // the executable's fused CompiledProgram stream on a statevector.
   const bool noiseless = !options.gate_noise && !options.idle_noise;
   const std::size_t num_programs = plan.compiled.size();
 
@@ -397,31 +397,29 @@ ParallelRunReport run_batch(const Device& device,
   }
 
   // One pool task per program: its exact probabilities over local basis
-  // states. Programs couple only through the precomputed crosstalk gamma,
-  // so each task reads the shared plan and writes only its own vector.
-  std::vector<std::vector<double>> program_probs(num_programs);
+  // states, measurement packing, readout flips and sampling from its own
+  // derived RNG stream. Programs couple only through the precomputed
+  // crosstalk gamma, so each task reads the shared plan and writes only
+  // its own outcome slot.
+  std::vector<ProgramOutcome> outcomes(num_programs);
   kern::run_tasks(num_programs, [&](std::size_t p) {
     const int n = widths[p];
+    std::vector<double> local_probs;
     if (fused && noiseless) {
-      // The executable carries the fused compilation of its compacted
-      // lowered circuit (active qubit i = local bit i — exactly the
-      // local_of mapping the measurement packing below relies on).
-      DensityMatrix dm(n);
-      dm.run(plan.compiled[p]->fused_compacted());
-      program_probs[p] = dm.probabilities();
+      // A unitary evolution stays pure: the executable's fused compilation
+      // of its compacted lowered circuit (active qubit i = local bit i —
+      // exactly the local_of mapping the packing below relies on) on a
+      // statevector.
+      Statevector sv(n);
+      sv.run(plan.compiled[p]->fused_compacted());
+      local_probs = sv.probabilities();
     } else {
       const std::vector<NoisyChannel> channels =
           program_channels(plan, p, local_of, device, options, derived);
-      program_probs[p] = fused ? NoisyStream::build(n, channels).run()
-                               : replay_channels(n, channels);
+      local_probs = fused ? NoisyStream::build(n, channels).run()
+                          : replay_channels(n, channels);
     }
-  });
-
-  // Serial epilogue, in program order: measurement packing, readout flips
-  // and sampling from each program's own derived RNG stream.
-  for (std::size_t p = 0; p < num_programs; ++p) {
     std::vector<std::pair<int, int>>& measurements = measured[p];
-    const std::vector<double>& local_probs = program_probs[p];
     // Sort by clbit so bit j of the packed index is measurement j.
     std::sort(measurements.begin(), measurements.end(),
               [](const auto& a, const auto& b) { return a.second < b.second; });
@@ -457,14 +455,14 @@ ParallelRunReport run_batch(const Device& device,
       }
       dist_entries.emplace_back(outcome, meas_probs[packed]);
     }
-    ProgramOutcome outcome;
+    ProgramOutcome& outcome = outcomes[p];
     outcome.name = programs[p].name;
     outcome.distribution = Distribution(num_bits, std::move(dist_entries));
     Rng prog_rng = rng.derive(programs[p].name + "#" + std::to_string(p));
     outcome.counts = sample_counts(outcome.distribution, options.shots,
                                    prog_rng);
-    report.programs.push_back(std::move(outcome));
-  }
+  });
+  report.programs = std::move(outcomes);
   return report;
 }
 

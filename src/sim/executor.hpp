@@ -113,10 +113,11 @@ struct ParallelRunReport {
 /// elements throws std::invalid_argument before any state is allocated.
 /// With gate_noise and idle_noise both off the evolution is unitary and
 /// replays the program's fused CompiledProgram stream (sim/fusion.hpp) on
-/// a full DensityMatrix (at most 12 qubits).
-/// Each program's probability vector is one task on the simulation pool;
-/// measurement packing, readout flips and sampling then run on the caller
-/// in program order, so results are bit-identical for any kernel_threads.
+/// a Statevector (at most 24 qubits).
+/// Each program is one task on the simulation pool, from its probability
+/// vector through measurement packing and readout flips to sampling from
+/// its own derived RNG stream; the task fills the program's slot of
+/// `programs`, so results are bit-identical for any kernel_threads.
 [[nodiscard]] ParallelRunReport execute_parallel(
     const Device& device, std::vector<PhysicalProgram> programs,
     const ExecOptions& options = {}, GateMatrixCache* gate_cache = nullptr,

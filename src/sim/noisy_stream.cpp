@@ -88,6 +88,14 @@ Super depolarizing_super(double p) {
 
 bool is_zero(cx v) { return v.real() == 0.0 && v.imag() == 0.0; }
 
+/// v * c written out in real arithmetic: the value std::complex's
+/// operator* gives for finite operands, without its NaN recovery branch
+/// and __muldc3 call.
+cx mul(cx v, cx c) {
+  return {v.real() * c.real() - v.imag() * c.imag(),
+          v.real() * c.imag() + v.imag() * c.real()};
+}
+
 /// The population rows read only populations, through real coefficients.
 bool population_only(const Super& s) {
   return is_zero(s[1]) && is_zero(s[2]) && is_zero(s[13]) && is_zero(s[14]) &&
@@ -205,6 +213,8 @@ NoisyStream NoisyStream::build(int num_qubits,
     } else {
       op.coef[0] = 1.0;
     }
+    op.populations = is_zero(op.coef[1]) && is_zero(op.coef[2]) &&
+                     op.coef[0].imag() == 0.0 && op.coef[3].imag() == 0.0;
     born[q] = 1;
     ops.push_back(op);
   };
@@ -349,9 +359,11 @@ NoisyStream NoisyStream::build(int num_qubits,
           retire.coef[c] = pending[q][c];
           retire.coef[4 + c] = pending[q][12 + c];
         }
+        retire.populations = population_only(pending[q]);
       } else {
         retire.coef[0] = 1.0;
         retire.coef[7] = 1.0;
+        retire.populations = true;
       }
       present &= ~(std::uint64_t{1} << (num_qubits + q));
       bits -= 1;
@@ -401,14 +413,30 @@ std::vector<double> NoisyStream::run() const {
         // Insert the qubit's two bits. Element t fans out to indices
         // >= t, and only elements below t remain to be read, so walking t
         // downward never overwrites an element before it is read.
+        if (op.populations) {
+          // A real diagonal 2x2 rho: the coherences are born zero.
+          const double c0 = op.coef[0].real();
+          const double c3 = op.coef[3].real();
+          for (std::size_t t = size; t-- > 0;) {
+            const double vr = a[t].real();
+            const double vi = a[t].imag();
+            const std::size_t base =
+                kern::insert_bit(kern::insert_bit(t, op.col), op.row);
+            a[base] = cx{vr * c0, vi * c0};
+            a[base + col] = cx{};
+            a[base + row] = cx{};
+            a[base + row + col] = cx{vr * c3, vi * c3};
+          }
+          break;
+        }
         for (std::size_t t = size; t-- > 0;) {
           const cx v = a[t];
           const std::size_t base =
               kern::insert_bit(kern::insert_bit(t, op.col), op.row);
-          a[base] = v * op.coef[0];
-          a[base + col] = v * op.coef[1];
-          a[base + row] = v * op.coef[2];
-          a[base + row + col] = v * op.coef[3];
+          a[base] = mul(v, op.coef[0]);
+          a[base + col] = mul(v, op.coef[1]);
+          a[base + row] = mul(v, op.coef[2]);
+          a[base + row + col] = mul(v, op.coef[3]);
         }
         break;
       case Op::Kind::kDense: {
@@ -426,6 +454,25 @@ std::vector<double> NoisyStream::run() const {
         // found by removing both bits from it: t with its bits from the
         // row position up shifted down one, so a block <= t. Walking t
         // upward therefore reads every element before it is overwritten.
+        if (op.populations) {
+          // p0 = a e0 + b e3, p1 = c e0 + d e3 with real coefficients:
+          // the general sum below with its zero terms left out.
+          const double c00 = op.coef[0].real();
+          const double c03 = op.coef[3].real();
+          const double c10 = op.coef[4].real();
+          const double c13 = op.coef[7].real();
+          for (std::size_t t = 0; t < size >> 2; ++t) {
+            const std::size_t out = kern::insert_bit(t, op.col);
+            const std::size_t base = kern::insert_bit(out, op.row);
+            const cx e0 = a[base];
+            const cx e3 = a[base + row + col];
+            a[out] = cx{c00 * e0.real() + c03 * e3.real(),
+                        c00 * e0.imag() + c03 * e3.imag()};
+            a[out + col] = cx{c10 * e0.real() + c13 * e3.real(),
+                              c10 * e0.imag() + c13 * e3.imag()};
+          }
+          break;
+        }
         for (std::size_t t = 0; t < size >> 2; ++t) {
           const std::size_t out = kern::insert_bit(t, op.col);
           const std::size_t base = kern::insert_bit(out, op.row);
@@ -434,8 +481,8 @@ std::vector<double> NoisyStream::run() const {
           cx p0{0.0, 0.0};
           cx p1{0.0, 0.0};
           for (int l = 0; l < 4; ++l) {
-            p0 += op.coef[l] * e[l];
-            p1 += op.coef[4 + l] * e[l];
+            p0 += mul(e[l], op.coef[l]);
+            p1 += mul(e[l], op.coef[4 + l]);
           }
           a[out] = p0;
           a[out + col] = p1;
@@ -446,8 +493,8 @@ std::vector<double> NoisyStream::run() const {
         for (std::size_t t = size; t-- > 0;) {
           const cx v = a[t];
           const std::size_t base = kern::insert_bit(t, op.col);
-          a[base] = v * op.coef[0];
-          a[base + col] = v * op.coef[1];
+          a[base] = mul(v, op.coef[0]);
+          a[base + col] = mul(v, op.coef[1]);
         }
         break;
     }

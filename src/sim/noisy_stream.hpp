@@ -109,6 +109,10 @@ class NoisyStream {
     /// kRetire: rows 0 and 3 of its trailing superoperator;
     /// kJoin: its populations (p0, p1).
     cx coef[8] = {};
+    /// kBirth/kRetire: the coefficients couple populations only, through
+    /// real values (a 2x2 rho with zero coherences; rows 0 and 3 reading
+    /// entries 0 and 3 alone), so run() takes its real-only path.
+    bool populations = false;
     kern::CompiledUnitary superop;            ///< kDense: 4x4 on (row, col)
     kern::PairChannel channel;                ///< kPair
     kern::PairGeometry geometry{0, 1, 2, 3};  ///< kPair

@@ -318,6 +318,23 @@ TEST(Executor, WideChainsStayUnderTheStateCap) {
   EXPECT_GT(out.distribution.prob(ones), others);
 }
 
+TEST(Executor, NoiselessWideChainsRunOnAStatevector) {
+  // With gate and idle noise off the evolution stays pure, so a 16q GHZ
+  // chain (a 64 GiB full rho) runs on a 2^16-amplitude statevector.
+  constexpr int kWidth = 16;
+  ExecOptions opts;
+  opts.gate_noise = false;
+  opts.idle_noise = false;
+  opts.readout_noise = false;
+  const ProgramOutcome out =
+      execute_single(make_line_device(kWidth), ghz_chain(kWidth), opts);
+  const std::uint64_t ones = (std::uint64_t{1} << kWidth) - 1;
+  EXPECT_EQ(out.distribution.probs().size(), 2u);
+  EXPECT_NEAR(out.distribution.prob(0), 0.5, 1e-12);
+  EXPECT_NEAR(out.distribution.prob(ones), 0.5, 1e-12);
+  EXPECT_EQ(out.counts.count(0) + out.counts.count(ones), opts.shots);
+}
+
 TEST(Executor, IndependentHalvesStreamAsTheirProduct) {
   // Two unrelated 7q programs in one 14q channel list, one after the
   // other: the stream's populations are the outer product of the halves'

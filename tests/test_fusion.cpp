@@ -310,6 +310,63 @@ TEST(FusionGolden, NoisyStreamGhzChainHoldsOnlyLiveQubits) {
   expect_stream_matches_replay(stream, kWidth, channels);
 }
 
+TEST(FusionGolden, NoisyStreamBirthAndRetirementPathsMatchReplay) {
+  // A birth or retirement whose coefficients touch populations only,
+  // through real values, takes the stream's real-only path; any other
+  // takes the general one. The GHZ chain's births after the first are
+  // population-only, and so are its retirements, which carry an X or RZ
+  // and their noise. The rotated chain has an RY and an RZ before each
+  // qubit's first CX (complex coherences) and an H or RX after its last,
+  // so every birth and retirement is general, and its last qubit, with no
+  // CX, joins at the end. Both must match the per-op replay under scalar
+  // and AVX2 dispatch.
+  constexpr int kWidth = 6;
+  Circuit ghz(kWidth, kWidth);
+  ghz.h(0);
+  for (int q = 1; q < kWidth; ++q) ghz.cx(q - 1, q);
+  for (int q = 0; q < kWidth; ++q) {
+    if (q % 2 == 0) {
+      ghz.rz(0.2 * (q + 1), q);
+    } else {
+      ghz.x(q);
+    }
+  }
+  ghz.measure_all();
+  Circuit rotated(kWidth + 1, kWidth + 1);
+  for (int q = 0; q <= kWidth; ++q) {
+    rotated.ry(0.3 + 0.1 * q, q);
+    rotated.rz(0.4 + 0.15 * q, q);
+  }
+  for (int q = 1; q < kWidth; ++q) rotated.cx(q - 1, q);
+  for (int q = 0; q < kWidth; ++q) {
+    if (q % 2 == 0) {
+      rotated.h(q);
+    } else {
+      rotated.rx(0.9, q);
+    }
+  }
+  rotated.measure_all();
+  for (const Circuit* c : {&ghz, &rotated}) {
+    const Circuit low = lower_to_cx_basis(*c);
+    const std::vector<FusedOp> kernels = compile_ops(low);
+    for (const bool relax_first : {false, true}) {
+      const std::vector<NoisyChannel> channels =
+          hand_built_channels(low, kernels, relax_first);
+      const NoisyStream stream = NoisyStream::build(c->num_qubits(), channels);
+      EXPECT_EQ(stream.dense_passes(), 0u);
+      for (const bool native : {false, true}) {
+        struct NativeReset {
+          bool was = kern::native_kernels_active();
+          ~NativeReset() { kern::set_native_kernels(was); }
+        } reset;
+        if (native && !kern::native_kernels_active()) continue;
+        kern::set_native_kernels(native);
+        expect_stream_matches_replay(stream, c->num_qubits(), channels);
+      }
+    }
+  }
+}
+
 /// Co-running random programs, one per entry of `sizes`, on disjoint
 /// regions of `device`, each grown next to the ones before it so one-hop
 /// CX pairs can crosstalk.
@@ -346,10 +403,10 @@ void expect_bit_identical(const ParallelRunReport& a,
 TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
   // A four-program noisy batch with crosstalk, simulated inline on the
   // caller (kernel_threads = 1) and as one task per program on the
-  // simulation pool (the default): each task owns its rho and every
-  // program samples from its own derived RNG stream in the serial
-  // epilogue, so not one bit may move — the property the service's batch
-  // replay relies on.
+  // simulation pool (the default): each task owns its rho and samples its
+  // counts from the program's own derived RNG stream, so not one bit may
+  // move — the property the service's batch replay relies on. The counts
+  // are those of sample_counts on the program's distribution and stream.
   const Device device = make_toronto27();
   Rng rng(20221017);
   const std::vector<PhysicalProgram> progs =
@@ -369,8 +426,19 @@ TEST(FusionGolden, NoisyExecutorBitIdenticalAcrossKernelThreads) {
     EXPECT_GT(inline_run.crosstalk_events, 0);
     ExecOptions pooled = inline_opts;
     pooled.kernel_threads = 0;
-    expect_bit_identical(inline_run, execute_parallel(device, progs, pooled),
+    const ParallelRunReport pooled_run =
+        execute_parallel(device, progs, pooled);
+    expect_bit_identical(inline_run, pooled_run,
                          "native=" + std::to_string(native));
+    const Rng root(pooled.seed);
+    for (std::size_t p = 0; p < progs.size(); ++p) {
+      Rng stream = root.derive(progs[p].name + "#" + std::to_string(p));
+      EXPECT_EQ(pooled_run.programs[p].counts.data(),
+                sample_counts(pooled_run.programs[p].distribution,
+                              pooled.shots, stream)
+                    .data())
+          << "native=" << native << " program " << p;
+    }
   }
 }
 

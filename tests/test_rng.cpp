@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
 #include <set>
 
 namespace qucp {
@@ -137,6 +141,77 @@ TEST(Rng, ChoiceThrowsOnEmpty) {
   const std::vector<int> empty;
   EXPECT_THROW((void)rng.choice(std::span<const int>(empty)),
                std::invalid_argument);
+}
+
+/// A URBG over mt19937_64's range that returns one fixed value.
+struct FixedUrbg {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type value = 0;
+  result_type operator()() { return value; }
+};
+
+/// A URBG that hands out an Rng's raw draws.
+struct RawDraws {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  Rng* rng = nullptr;
+  result_type operator()() { return rng->next_u64(); }
+};
+
+TEST(Rng, CanonicalDoubleMatchesGenerateCanonical) {
+  // The rounding corners of u / 2^64: values that convert exactly, ties
+  // and near-ties of the 53-bit rounding, the top bit, and draws that
+  // round up to 1.0 and must clamp to nextafter(1, 0).
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t values[] = {0,
+                                  1,
+                                  k53 - 1,
+                                  k53,
+                                  k53 + 1,
+                                  k63 - 1,
+                                  k63,
+                                  k63 + 1,
+                                  k63 + 1024,
+                                  k63 + 1025,
+                                  kMax - (std::uint64_t{1} << 11) + 1,
+                                  kMax - (std::uint64_t{1} << 10) + 1,
+                                  kMax - (std::uint64_t{1} << 10),
+                                  kMax};
+  for (const std::uint64_t u : values) {
+    FixedUrbg urbg{u};
+    const double want = std::generate_canonical<double, 53>(urbg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(canonical_double(u)),
+              std::bit_cast<std::uint64_t>(want))
+        << "u = " << u;
+  }
+  EXPECT_EQ(canonical_double(kMax), std::nextafter(1.0, 0.0));
+}
+
+TEST(Rng, UniformMatchesUniformRealDistribution) {
+  // uniform() over ten million draws, then uniform(lo, hi) and
+  // bernoulli(): each must be what std::uniform_real_distribution makes
+  // of the same raw draws.
+  Rng rng(20221019);
+  Rng raw = rng;
+  RawDraws urbg{&raw};
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 10'000'000; ++i) {
+    mismatches += std::bit_cast<std::uint64_t>(rng.uniform()) !=
+                  std::bit_cast<std::uint64_t>(unit(urbg));
+  }
+  EXPECT_EQ(mismatches, 0u);
+  std::uniform_real_distribution<double> wide(-2.5, 7.0);
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(-2.5, 7.0)),
+              std::bit_cast<std::uint64_t>(wide(urbg)));
+    ASSERT_EQ(rng.bernoulli(0.3), unit(urbg) < 0.3);
+  }
 }
 
 TEST(Rng, Fnv1aStable) {
