@@ -17,8 +17,9 @@
 //               (waiting + execution), fidelity, spill and cache behavior.
 //   parametric— amortized transpile+compile ns/job over a VQE-shaped
 //               angle-sweep stream (8 ansatz structures x 100 iterations,
-//               every job a fresh binding) with the parametric structural
-//               cache on vs off. The artifact enforces the >= 5x
+//               every job a fresh binding) with the structural transpile
+//               cache on vs a capacity-0 backend that transpiles every job
+//               from scratch. The artifact enforces the >= 5x
 //               amortization target for sweep-style traffic.
 //
 // Everything lands in BENCH_service.json (schema qucp-bench-service-v1)
@@ -317,7 +318,7 @@ std::vector<CapacityRow> run_capacity_sweep() {
 }
 
 struct ParametricRow {
-  bool parametric = false;
+  const char* mode = "";  ///< "off" (capacity 0), "on", "on_scalar"
   std::size_t jobs = 0;
   double total_s = 0.0;
   TranspileCacheStats cache;
@@ -337,23 +338,11 @@ struct ParametricRow {
 
 struct ParametricSection {
   ParametricRow on;
-  ParametricRow on_scalar;  ///< per-job bind path, scalar materialize
-  ParametricRow off;
-  ParametricRow batched;  ///< transpile_sweep: one probe + batched binds
+  ParametricRow on_scalar;  ///< template bind path, scalar materialize
+  ParametricRow off;        ///< no transpile cache: from scratch per job
 
   [[nodiscard]] double speedup() const {
     return on.ns_per_job() > 0.0 ? off.ns_per_job() / on.ns_per_job() : 0.0;
-  }
-  /// The sweep fast path's target: the full batched path (group-probed
-  /// cache + bind_many + plan-direct materialize on the AVX2 kernels) vs
-  /// the per-job bind path it replaces as previously shipped — per-job
-  /// cache round-trips and scalar materialize (`on_scalar`). In a build
-  /// without native kernels both arms run the same scalar products and
-  /// this reduces to the pure batching win.
-  [[nodiscard]] double batched_speedup() const {
-    return batched.ns_per_job() > 0.0
-               ? on_scalar.ns_per_job() / batched.ns_per_job()
-               : 0.0;
   }
 };
 
@@ -413,28 +402,29 @@ std::vector<Circuit> build_sweep_stream(int iters) {
   return stream;
 }
 
-ParametricRow run_parametric_config(int iters, bool parametric,
+/// One arm of the sweep: `cache_capacity` 0 transpiles every job from
+/// scratch; `scalar_kernels` materializes on the scalar products instead
+/// of the AVX2 ones (restoring the process's dispatch state afterwards).
+ParametricRow run_parametric_config(int iters, const char* mode,
+                                    std::size_t cache_capacity,
                                     bool scalar_kernels = false) {
-  // scalar_kernels reproduces the pre-AVX2 per-job bind path (the
-  // baseline the sweep fast path is measured against); restore whatever
-  // dispatch state the process started with on the way out.
   const bool native_before = kern::native_kernels_active();
   if (scalar_kernels) kern::set_native_kernels(false);
   const Device device = make_toronto27();
-  Backend backend(device, /*transpile_cache_capacity=*/1024, parametric);
+  Backend backend(device, cache_capacity);
   const std::vector<int> partition = bfs_partition(device, kSweepQubits);
   const TranspileOptions topts = hardware_aware_options();
   const std::vector<Circuit> stream = build_sweep_stream(iters);
   ParametricRow row;
-  row.parametric = parametric;
+  row.mode = mode;
   row.jobs = stream.size();
   const auto t0 = std::chrono::steady_clock::now();
   for (const Circuit& c : stream) {
     const TranspiledProgram tp =
         backend.transpile(c, partition, topts, /*options_fp=*/1);
     // The scoring pass compiles the logical circuit per job (the service's
-    // ideal-distribution reference), which is where the fusion-plan cache
-    // earns its keep on a sweep.
+    // ideal-distribution reference) from the structure's cached fusion
+    // plan, in every arm.
     const auto prog = backend.compiled_program(c);
     benchmark::DoNotOptimize(prog.get());
   }
@@ -443,49 +433,6 @@ ParametricRow run_parametric_config(int iters, bool parametric,
   row.plan_builds = backend.program_cache().plan_builds();
   row.plan_hits = backend.program_cache().plan_hits();
   if (scalar_kernels) kern::set_native_kernels(native_before);
-  return row;
-}
-
-/// The sweep_batched arm: the same stream, but grouped by structure and
-/// pushed through the submit_all() sweep fast path's two batched legs:
-/// CalibrationEpoch::transpile_sweep (one epoch pin and one cache probe
-/// per group, templates bound batch-at-a-time via bind_many) plus one
-/// fusion-plan fetch per group with the ideal-reference program
-/// materialized directly per job (what run_batch_pipeline does for
-/// prebound sweep jobs, skipping the per-job fingerprint + cache lock).
-ParametricRow run_parametric_batched(int iters) {
-  const Device device = make_toronto27();
-  Backend backend(device, /*transpile_cache_capacity=*/1024,
-                  /*parametric=*/true);
-  const std::vector<int> partition = bfs_partition(device, kSweepQubits);
-  const TranspileOptions topts = hardware_aware_options();
-  const std::vector<Circuit> stream = build_sweep_stream(iters);
-  // Group per structural fingerprint, submission order kept within groups.
-  std::map<std::uint64_t, std::vector<const Circuit*>> groups;
-  for (const Circuit& c : stream) {
-    groups[structural_fingerprint(c)].push_back(&c);
-  }
-  ParametricRow row;
-  row.parametric = true;
-  row.jobs = stream.size();
-  std::vector<TranspiledProgram> bound;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto epoch = backend.epoch();
-  for (const auto& [fp, circuits] : groups) {
-    epoch->transpile_sweep(circuits, partition, topts, /*options_fp=*/1,
-                           bound);
-    benchmark::DoNotOptimize(bound.data());
-    const auto fusion_plan = backend.program_cache().plan(*circuits.front());
-    for (const Circuit* c : circuits) {
-      const CompiledProgram prog =
-          CompiledProgram::materialize(*fusion_plan, *c);
-      benchmark::DoNotOptimize(&prog);
-    }
-  }
-  row.total_s = seconds_since(t0);
-  row.cache = backend.cache_stats();
-  row.plan_builds = backend.program_cache().plan_builds();
-  row.plan_hits = backend.program_cache().plan_hits();
   return row;
 }
 
@@ -513,20 +460,16 @@ ParametricSection run_parametric_section() {
     }
     return best;
   };
-  // Off first so the on-arm's speedup column can print in its row.
-  section.off = best_of([&] { return run_parametric_config(iters, false); });
-  section.on = best_of([&] { return run_parametric_config(iters, true); });
-  section.on_scalar = best_of(
-      [&] { return run_parametric_config(iters, true, /*scalar=*/true); });
-  section.batched = best_of([&] { return run_parametric_batched(iters); });
-  const auto mode_name = [&](const ParametricRow* r) {
-    if (r == &section.batched) return "sweep_batched";
-    if (r == &section.on_scalar) return "on_scalar";
-    return r->parametric ? "on" : "off";
-  };
+  section.off =
+      best_of([&] { return run_parametric_config(iters, "off", 0); });
+  section.on =
+      best_of([&] { return run_parametric_config(iters, "on", 1024); });
+  section.on_scalar = best_of([&] {
+    return run_parametric_config(iters, "on_scalar", 1024, /*scalar=*/true);
+  });
   for (const ParametricRow* r : {&section.off, &section.on,
-                                 &section.on_scalar, &section.batched}) {
-    bench::row({mode_name(r), std::to_string(r->jobs),
+                                 &section.on_scalar}) {
+    bench::row({r->mode, std::to_string(r->jobs),
                 fmt_double(r->ns_per_job(), 0),
                 std::to_string(r->cache.hits),
                 std::to_string(r->cache.structural_hits),
@@ -537,15 +480,10 @@ ParametricSection run_parametric_section() {
   }
   std::printf(
       "\namortized transpile+compile speedup: %.2fx (target >= 5x)\n"
-      "sweep_batched vs per-job bind + scalar kernels: %.2fx "
-      "(target >= 1.8x)\n"
-      "every job is a fresh binding: the off arm re-places and re-routes\n"
-      "per job, the on/on_scalar arms bind the structural template per job\n"
-      "(native vs scalar materialize), and the sweep_batched arm probes\n"
-      "the cache + fusion plan once per structure group, binds the group\n"
-      "through bind_many and materializes each ideal reference straight\n"
-      "off the plan's AVX2 product chain (the submit_all sweep path).\n",
-      section.speedup(), section.batched_speedup());
+      "every job is a fresh binding: the off arm (no transpile cache)\n"
+      "re-places and re-routes per job, the on/on_scalar arms bind the\n"
+      "structural template per job (native vs scalar materialize).\n",
+      section.speedup());
   return section;
 }
 
@@ -607,13 +545,8 @@ void write_json(const std::vector<IntakeRow>& intake,
                  sep(), r.batch_cap, r.batches, r.spills, r.cache_hit_pct,
                  r.avg_pst, r.runtime_s, r.speedup);
   }
-  const auto parametric_mode = [&](const ParametricRow* r) {
-    if (r == &parametric.batched) return "sweep_batched";
-    if (r == &parametric.on_scalar) return "on_scalar";
-    return r->parametric ? "on" : "off";
-  };
   for (const ParametricRow* r : {&parametric.off, &parametric.on,
-                                 &parametric.on_scalar, &parametric.batched}) {
+                                 &parametric.on_scalar}) {
     std::fprintf(f,
                  "%s    {\"section\": \"parametric\", \"mode\": \"%s\", "
                  "\"jobs\": %zu, \"ns_per_job\": %.1f, \"hits\": %" PRIu64
@@ -621,24 +554,20 @@ void write_json(const std::vector<IntakeRow>& intake,
                  ", \"bind_fallbacks\": %" PRIu64
                  ", \"bind_ns_per_hit\": %.1f, \"plan_builds\": %" PRIu64
                  ", \"plan_hits\": %" PRIu64 "}",
-                 sep(), parametric_mode(r), r->jobs, r->ns_per_job(),
+                 sep(), r->mode, r->jobs, r->ns_per_job(),
                  r->cache.hits, r->cache.structural_hits, r->cache.misses,
                  r->cache.bind_fallbacks, r->bind_ns_per_hit(), r->plan_builds,
                  r->plan_hits);
   }
   std::fprintf(f,
                "%s    {\"section\": \"parametric_summary\", "
-               "\"speedup\": %.2f, \"meets_target\": %s, "
-               "\"sweep_batched_speedup\": %.2f, "
-               "\"sweep_batched_meets_target\": %s}",
+               "\"speedup\": %.2f, \"meets_target\": %s}",
                sep(), parametric.speedup(),
-               parametric.speedup() >= 5.0 ? "true" : "false",
-               parametric.batched_speedup(),
-               parametric.batched_speedup() >= 1.8 ? "true" : "false");
+               parametric.speedup() >= 5.0 ? "true" : "false");
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s (%zu rows%s)\n", path.c_str(),
-              intake.size() + overhead.size() + 1 + capacity.size() + 5,
+              intake.size() + overhead.size() + 1 + capacity.size() + 4,
               smoke_mode() ? ", smoke mode" : "");
 }
 

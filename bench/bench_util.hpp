@@ -82,7 +82,8 @@ inline void rule(std::size_t cells, int width = 14) {
 }
 
 /// False when argv picks timers with a --benchmark_filter other than NONE
-/// (the last one given counts, as in google-benchmark): such a run skips
+/// (the last one given counts, as in google-benchmark), or only lists them
+/// (--benchmark_list_tests, --benchmark_list_tests=true): such a run skips
 /// the paper artifact, so it neither spends the tables' time nor rewrites
 /// the BENCH_*.json files with them. An empty filter or "all" selects
 /// every timer and counts as no filter.
@@ -91,6 +92,10 @@ inline bool tables_requested(int argc, char** argv) {
   std::string_view filter;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
+    if (arg == "--benchmark_list_tests" ||
+        arg == "--benchmark_list_tests=true") {
+      return false;
+    }
     if (arg.substr(0, kFlag.size()) == kFlag) filter = arg.substr(kFlag.size());
   }
   return filter.empty() || filter == "all" || filter == "NONE";

@@ -179,93 +179,4 @@ std::optional<TranspiledProgram> TranspileTemplate::bind(
   return out;
 }
 
-void TranspileTemplate::bind_many(
-    std::span<const ParamBinding* const> bindings,
-    std::vector<std::optional<TranspiledProgram>>& out) const {
-  out.clear();
-  out.resize(bindings.size());
-  if (bindings.empty()) return;
-
-  // Hoist everything a single bind() recomputes that does not depend on
-  // the values: one evaluation arena reused across bindings, the ragged
-  // phys_exprs walk flattened into a linear patch list once, and the
-  // check list compressed to its distinct nodes (fan-out means several
-  // checks interrogate one node; angle_is_identity runs once per node).
-  std::vector<double> arena(nodes.size());
-  double* const vals = arena.data();
-  struct Patch {
-    std::uint32_t op;
-    std::uint32_t param;
-    std::uint32_t node;
-  };
-  std::vector<Patch> patches;
-  for (std::size_t i = 0; i < phys_exprs.size(); ++i) {
-    for (std::size_t j = 0; j < phys_exprs[i].size(); ++j) {
-      patches.push_back(Patch{static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j),
-                              phys_exprs[i][j]});
-    }
-  }
-  // expected[node]: the identity verdict every check on `node` recorded,
-  // or kUnchecked. Conflicting verdicts for one node can never both hold,
-  // so such a template rejects every binding — exactly what sequential
-  // bind() calls conclude by the second check on that node.
-  constexpr std::uint8_t kUnchecked = 2;
-  std::vector<std::uint8_t> expected(nodes.size(), kUnchecked);
-  bool contradictory = false;
-  std::vector<std::uint32_t> check_nodes;
-  for (const ParamCheck& c : checks) {
-    const std::uint8_t want = c.identity ? 1 : 0;
-    if (expected[c.node] == kUnchecked) {
-      expected[c.node] = want;
-      check_nodes.push_back(c.node);
-    } else if (expected[c.node] != want) {
-      contradictory = true;
-    }
-  }
-
-  for (std::size_t b = 0; b < bindings.size(); ++b) {
-    const std::vector<double>& binding = bindings[b]->values;
-    if (binding.size() != binding0.size()) continue;
-    // Same evaluation loop as bind(): creation order, identical additions,
-    // so each engaged result is bit-identical to bind(bindings[b]).
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const ParamExpr& e = nodes[i];
-      switch (e.kind) {
-        case ParamExpr::Kind::Slot:
-          vals[i] = binding[static_cast<std::size_t>(e.slot)];
-          break;
-        case ParamExpr::Kind::Add:
-          vals[i] = vals[e.a] + vals[e.b];
-          break;
-        case ParamExpr::Kind::Const:
-          vals[i] = e.value;
-          break;
-      }
-    }
-    bool flipped = contradictory;
-    for (const std::uint32_t node : check_nodes) {
-      if (flipped) break;
-      if (angle_is_identity(vals[node]) != (expected[node] != 0)) {
-        flipped = true;
-      }
-    }
-    if (flipped) continue;
-    TranspiledProgram& prog = out[b].emplace(result);
-    for (const Patch& p : patches) {
-      prog.physical.patch_param(p.op, p.param, vals[p.node]);
-    }
-    prog.physical.invalidate_fingerprints();
-  }
-}
-
-void TranspileTemplate::bind_many(
-    std::span<const ParamBinding> bindings,
-    std::vector<std::optional<TranspiledProgram>>& out) const {
-  std::vector<const ParamBinding*> ptrs;
-  ptrs.reserve(bindings.size());
-  for (const ParamBinding& b : bindings) ptrs.push_back(&b);
-  bind_many(ptrs, out);
-}
-
 }  // namespace qucp

@@ -57,23 +57,6 @@ struct TranspileTemplate {
   /// a recorded optimizer decision or its slot count mismatches.
   [[nodiscard]] std::optional<TranspiledProgram> bind(
       std::span<const double> binding) const;
-
-  /// Batched bind() for sweep traffic: evaluate the DAG for every binding
-  /// against this one routed program. `out` is cleared and resized to
-  /// bindings.size(); entry i is engaged iff bind(bindings[i].values)
-  /// would succeed and is bit-identical to it. Binding-independent work —
-  /// the DAG evaluation arena and the flattened (op, param, node) patch
-  /// list — is hoisted out of the per-binding loop; a binding that flips a
-  /// recorded decision leaves its entry disengaged so the caller can fall
-  /// back for that binding alone.
-  void bind_many(std::span<const ParamBinding> bindings,
-                 std::vector<std::optional<TranspiledProgram>>& out) const;
-  /// Pointer-span form: lets callers bind a non-contiguous subset of a
-  /// binding set (e.g. transpile_sweep skipping exact-binding repeats)
-  /// without copying ParamBinding values. The value-span overload
-  /// forwards here.
-  void bind_many(std::span<const ParamBinding* const> bindings,
-                 std::vector<std::optional<TranspiledProgram>>& out) const;
 };
 
 }  // namespace qucp

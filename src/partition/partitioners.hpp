@@ -78,6 +78,16 @@ class Partitioner {
 [[nodiscard]] std::vector<std::size_t> allocation_order(
     std::span<const ProgramShape> programs);
 
+/// Allocate a whole batch from scratch in allocation_order and return the
+/// assignments in the order of `programs` (the caller's batch order), or
+/// nullopt when the batch does not fit. This is the one-shot allocation
+/// behind batches no admission probe planned: single_batch packing and
+/// the un-planned run_batch_pipeline entry.
+[[nodiscard]] std::optional<std::vector<PartitionAssignment>> allocate_batch(
+    const Device& device, const Partitioner& partitioner,
+    std::span<const ProgramShape> programs,
+    const CandidateIndex* index = nullptr);
+
 /// Best solo-partition EFS of one program shape on `device`: the score the
 /// shape gets when it is allocated alone on an otherwise-empty chip. This
 /// is the packer's §IV-B spill baseline and the fleet scheduler's

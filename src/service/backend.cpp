@@ -7,15 +7,12 @@
 namespace qucp {
 
 CalibrationEpoch::CalibrationEpoch(std::uint64_t id, Device device,
-                                   std::size_t transpile_cache_capacity,
-                                   bool parametric)
+                                   std::size_t transpile_cache_capacity)
     : id_(id),
       device_(std::move(device)),
       candidate_index_(device_),
       derived_noise_(DerivedNoise::from(device_.calibration())),
-      capacity_(transpile_cache_capacity),
-      parametric_(parametric),
-      program_cache_(parametric) {}
+      capacity_(transpile_cache_capacity) {}
 
 TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
                                               std::span<const int> partition,
@@ -24,15 +21,13 @@ TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
   if (capacity_ == 0) {
     return transpile_to_partition(logical, device_, partition, options);
   }
-  const ParamBinding binding =
-      parametric_ ? ParamBinding(logical) : ParamBinding{};
+  const ParamBinding binding(logical);
   // Parameterless circuits gain nothing from a template (there is nothing
-  // to rebind), so they take the exact-key path even in parametric mode —
-  // the structural key still folds, e.g., renamed copies together.
-  const bool use_template = parametric_ && !binding.values.empty();
-  CacheKey key{parametric_ ? structural_fingerprint(logical)
-                           : circuit_fingerprint(logical),
-               options_fp, std::vector<int>(partition.begin(), partition.end())};
+  // to rebind), so they take the exact-key path — the structural key
+  // still folds, e.g., renamed copies together.
+  const bool use_template = !binding.values.empty();
+  CacheKey key{structural_fingerprint(logical), options_fp,
+               std::vector<int>(partition.begin(), partition.end())};
   std::shared_ptr<const TranspileTemplate> tmpl;
   bool fallback = false;  // structure matched, but the entry can't serve it
   {
@@ -101,111 +96,6 @@ TranspiledProgram CalibrationEpoch::transpile(const Circuit& logical,
   return result;
 }
 
-void CalibrationEpoch::transpile_sweep(std::span<const Circuit* const> circuits,
-                                       std::span<const int> partition,
-                                       const TranspileOptions& options,
-                                       std::uint64_t options_fp,
-                                       std::vector<TranspiledProgram>& out) const {
-  out.clear();
-  out.resize(circuits.size());
-  if (circuits.empty()) return;
-  if (capacity_ == 0 || !parametric_) {
-    // No template machinery to amortize; the per-call path is already the
-    // whole story.
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      out[i] = transpile(*circuits[i], partition, options, options_fp);
-    }
-    return;
-  }
-  const std::size_t n = circuits.size();
-  // The binding every per-call transpile() would recompute, computed once
-  // per circuit up front.
-  std::vector<ParamBinding> bindings;
-  bindings.reserve(n);
-  for (const Circuit* c : circuits) bindings.emplace_back(*c);
-  const CacheKey key{structural_fingerprint(*circuits[0]), options_fp,
-                     std::vector<int>(partition.begin(), partition.end())};
-
-  std::vector<const ParamBinding*> to_bind;
-  std::vector<std::optional<TranspiledProgram>> bound;
-  std::size_t i = 0;
-  while (i < n) {
-    // One lock acquisition probes the cache for the whole segment that
-    // follows; the segment runs until a binding the snapshot cannot serve
-    // replaces the entry (rare), at which point the loop re-probes.
-    std::vector<double> binding0;
-    std::shared_ptr<const TranspileTemplate> tmpl;
-    bool have_entry = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (auto it = cache_.find(key); it != cache_.end()) {
-        have_entry = true;
-        binding0 = it->second.binding0;
-        tmpl = it->second.tmpl;
-      }
-    }
-    if (!have_entry) {
-      // First sighting of the structure: transpile() counts the miss,
-      // builds the template and inserts the entry the rest of the sweep
-      // binds against.
-      out[i] = transpile(*circuits[i], partition, options, options_fp);
-      ++i;
-      continue;
-    }
-    // Batch-bind every non-exact binding in [i, n) against the snapshot,
-    // then commit the results in order. The first rejected binding falls
-    // back through transpile() — which rebuilds and *replaces* the entry —
-    // so everything after it must re-probe; later binds already computed
-    // against the old template are discarded to keep the decision chain
-    // (and every counter) exactly what sequential calls produce.
-    to_bind.clear();
-    if (tmpl != nullptr) {
-      for (std::size_t k = i; k < n; ++k) {
-        if (bindings[k].values != binding0) to_bind.push_back(&bindings[k]);
-      }
-    }
-    std::uint64_t bind_ns = 0;
-    bound.clear();
-    if (!to_bind.empty()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      tmpl->bind_many(to_bind, bound);
-      bind_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    std::size_t bi = 0;
-    std::uint64_t committed = 0;
-    while (i < n) {
-      if (bindings[i].values == binding0) {
-        // Exact-binding repeat: the entry is unchanged (a rejection would
-        // have ended the segment before this point), so transpile()
-        // re-finds it and counts the hit exactly as a sequential call.
-        out[i] = transpile(*circuits[i], partition, options, options_fp);
-        ++i;
-        continue;
-      }
-      if (tmpl == nullptr || !bound[bi].has_value()) {
-        // Rejected binding (or a template-less entry): the one-at-a-time
-        // fallback rebuilds from scratch, counts the bind_fallback and
-        // replaces the entry; break to re-probe the replacement.
-        out[i] = transpile(*circuits[i], partition, options, options_fp);
-        ++i;
-        break;
-      }
-      out[i] = *std::move(bound[bi]);
-      ++bi;
-      ++committed;
-      ++i;
-    }
-    if (committed != 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.structural_hits += committed;
-      stats_.bind_ns += bind_ns;
-    }
-  }
-}
-
 ParallelRunReport CalibrationEpoch::execute(
     std::vector<PhysicalProgram> programs, const ExecOptions& options) const {
   return execute_parallel(device_, std::move(programs), options, &gate_cache_,
@@ -233,12 +123,10 @@ void CalibrationEpoch::warm(std::span<const int> partition_sizes) const {
   }
 }
 
-Backend::Backend(Device device, std::size_t transpile_cache_capacity,
-                 bool parametric)
+Backend::Backend(Device device, std::size_t transpile_cache_capacity)
     : capacity_(transpile_cache_capacity),
-      parametric_(parametric),
-      epoch_(std::make_shared<CalibrationEpoch>(
-          0, std::move(device), transpile_cache_capacity, parametric)) {}
+      epoch_(std::make_shared<CalibrationEpoch>(0, std::move(device),
+                                                transpile_cache_capacity)) {}
 
 std::shared_ptr<const CalibrationEpoch> Backend::epoch() const {
   std::lock_guard<std::mutex> lock(epoch_mutex_);
@@ -259,7 +147,7 @@ double Backend::recalibrate(Calibration cal) {
   Device next(old->device().name(), old->device().topology(), std::move(cal),
               old->device().crosstalk_ground_truth());
   auto fresh = std::make_shared<const CalibrationEpoch>(
-      old->id() + 1, std::move(next), capacity_, parametric_);
+      old->id() + 1, std::move(next), capacity_);
   // Off-lane warm build: reproduce the candidate working set the retiring
   // epoch accumulated, so the first pack cycle on the new epoch routes at
   // full speed. Runs entirely on this thread — no lane or worker waits.

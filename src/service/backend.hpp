@@ -22,17 +22,16 @@
 // transpile — and because the cache lives inside the epoch, a hit can
 // never serve a result transpiled under a different calibration.
 //
-// In parametric mode (the default) the circuit key is the *structural*
-// fingerprint: entries for parameterized circuits store a
-// TranspileTemplate (mapping/parametric.hpp) alongside the transpiled
-// program of the first binding seen. A job whose structure matches but
-// whose angles differ binds the template in one cheap pass —
-// bit-identical to a from-scratch transpile — instead of re-placing and
-// re-routing. Bindings the template rejects (an angle flipping one of the
-// optimizer's recorded identity decisions) fall back to a from-scratch
-// template rebuild, which also replaces the cached entry so a degenerate
-// first binding (e.g. an all-zero VQE start) does not pin a
-// fallback-prone template forever.
+// The circuit key is the *structural* fingerprint: entries for
+// parameterized circuits store a TranspileTemplate (mapping/parametric.hpp)
+// alongside the transpiled program of the first binding seen. A job whose
+// structure matches but whose angles differ binds the template in one
+// cheap pass — bit-identical to a from-scratch transpile — instead of
+// re-placing and re-routing. Bindings the template rejects (an angle
+// flipping one of the optimizer's recorded identity decisions) fall back
+// to a from-scratch template rebuild, which also replaces the cached entry
+// so a degenerate first binding (e.g. an all-zero VQE start) does not pin
+// a fallback-prone template forever.
 //
 // Backend keeps the historical accessor surface (device(),
 // candidate_index(), transpile(), execute(), ...) as forwarders to the
@@ -84,11 +83,8 @@ struct TranspileCacheStats {
 class CalibrationEpoch {
  public:
   /// `transpile_cache_capacity` = 0 disables transpile caching.
-  /// `parametric` = false keys the cache on exact circuit fingerprints
-  /// only (the pre-template behavior; useful for A/B benchmarking).
   CalibrationEpoch(std::uint64_t id, Device device,
-                   std::size_t transpile_cache_capacity,
-                   bool parametric = true);
+                   std::size_t transpile_cache_capacity);
 
   CalibrationEpoch(const CalibrationEpoch&) = delete;
   CalibrationEpoch& operator=(const CalibrationEpoch&) = delete;
@@ -130,23 +126,6 @@ class CalibrationEpoch {
                                             const TranspileOptions& options,
                                             std::uint64_t options_fp) const;
 
-  /// Batched sweep transpile: serve N circuits that share one structural
-  /// fingerprint on one partition with a single cache probe and one
-  /// bind_many pass — the per-circuit lock/lookup/bind round-trips of N
-  /// transpile() calls collapse to one. Results and every cache counter
-  /// are identical to calling transpile() on each circuit in order
-  /// (bind_ns aside — it is timing): the first unseen circuit still
-  /// counts the miss and builds the template, exact-binding repeats still
-  /// count hits, and a binding the template rejects still falls back
-  /// through the one-at-a-time path (replacing the entry, after which the
-  /// remaining circuits re-probe the replacement). `out` is cleared and
-  /// filled with one program per circuit. Thread-safe.
-  void transpile_sweep(std::span<const Circuit* const> circuits,
-                       std::span<const int> partition,
-                       const TranspileOptions& options,
-                       std::uint64_t options_fp,
-                       std::vector<TranspiledProgram>& out) const;
-
   /// Execute pre-mapped programs on this epoch's simulated hardware.
   [[nodiscard]] ParallelRunReport execute(std::vector<PhysicalProgram> programs,
                                           const ExecOptions& options) const;
@@ -176,10 +155,10 @@ class CalibrationEpoch {
     }
   };
 
-  /// One cached transpilation. `tmpl` is non-null only for parametric
-  /// entries that built a template; `binding0` is the parameter binding
-  /// `result` was transpiled from (empty for parameterless circuits and
-  /// non-parametric entries, where the key already pins exact values).
+  /// One cached transpilation. `tmpl` is non-null only for entries of
+  /// parameterized circuits that built a template; `binding0` is the
+  /// parameter binding `result` was transpiled from (empty for
+  /// parameterless circuits, where the key already pins exact values).
   struct CacheEntry {
     TranspiledProgram result;
     std::vector<double> binding0;
@@ -191,7 +170,6 @@ class CalibrationEpoch {
   CandidateIndex candidate_index_;  ///< built against device_ (declared above)
   DerivedNoise derived_noise_;      ///< derived from device_.calibration()
   std::size_t capacity_;
-  bool parametric_ = true;
   mutable std::mutex mutex_;
   mutable std::map<CacheKey, CacheEntry> cache_;
   mutable std::deque<CacheKey> insertion_order_;  ///< FIFO eviction queue
@@ -208,11 +186,9 @@ class CalibrationEpoch {
 
 class Backend {
  public:
-  /// `transpile_cache_capacity` = 0 disables transpile caching; both
-  /// knobs apply to every epoch this backend ever builds. `parametric` =
-  /// false reverts the transpile cache to exact-fingerprint keying.
-  explicit Backend(Device device, std::size_t transpile_cache_capacity = 1024,
-                   bool parametric = true);
+  /// `transpile_cache_capacity` = 0 disables transpile caching; it
+  /// applies to every epoch this backend ever builds.
+  explicit Backend(Device device, std::size_t transpile_cache_capacity = 1024);
 
   /// Pin the current calibration epoch. The returned shared_ptr keeps the
   /// epoch (device, caches, derived constants) alive across any number of
@@ -277,7 +253,6 @@ class Backend {
 
  private:
   std::size_t capacity_;
-  bool parametric_ = true;
   mutable std::mutex epoch_mutex_;  ///< guards the epoch_ pointer swap
   std::shared_ptr<const CalibrationEpoch> epoch_;
   std::mutex recal_mutex_;  ///< serializes concurrent recalibrate() calls

@@ -98,7 +98,7 @@ const std::vector<PartitionAssignment>* AdmissionProbe::probe(
     pending_fast_ = true;
   } else {
     // Reference path: re-allocate the whole grown batch from scratch, in
-    // the same largest-first order the execution pipeline will use.
+    // QuMC's largest-first order.
     std::vector<ProgramShape> tentative = shapes_;
     tentative.push_back(shape);
     pending_order_ = allocation_order(tentative);
@@ -135,14 +135,15 @@ void AdmissionProbe::admit() {
   has_pending_ = false;
 }
 
-std::vector<std::vector<int>> AdmissionProbe::admitted_partitions() const {
+std::vector<PartitionAssignment> AdmissionProbe::admitted_assignments()
+    const {
   // assignments_ is allocation-ordered; order_[pos] maps each allocation
   // position back to the admission index of the job it places.
-  std::vector<std::vector<int>> parts(assignments_.size());
+  std::vector<PartitionAssignment> admitted(assignments_.size());
   for (std::size_t pos = 0; pos < assignments_.size(); ++pos) {
-    parts[order_[pos]] = assignments_[pos].qubits;
+    admitted[order_[pos]] = assignments_[pos];
   }
-  return parts;
+  return admitted;
 }
 
 void AdmissionProbe::reset() {
@@ -355,14 +356,21 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
 
   if (options.single_batch) {
     // run_parallel() semantics: everything in exactly one batch on the
-    // first slot; the execution pipeline fails the whole batch when it
-    // does not fit.
+    // first slot, allocated once; a batch that does not fit keeps empty
+    // assignments and the execution pipeline fails all of its jobs.
     PackedBatch batch;
     const FleetView solo_view(slots, partitioner);
+    std::vector<ProgramShape> shapes;
+    shapes.reserve(jobs.size());
     double max_ns = 0.0;
     for (const PackJob& job : jobs) {
       batch.jobs.push_back(job.index);
+      shapes.push_back(job.shape);
       max_ns = std::max(max_ns, solo_view.exec_estimate_ns(0, job));
+    }
+    if (auto assignments = allocate_batch(*slots[0].device, partitioner,
+                                          shapes, slots[0].index)) {
+      batch.assignments = std::move(*assignments);
     }
     plan.batches[0].push_back(std::move(batch));
     plan.batch_exec_s[0].push_back(job_runtime_s(model, max_ns));
@@ -468,7 +476,13 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
             unfit_everywhere = false;
             continue;
           }
-          if (!view.solo_efs(s, *job)) continue;  // unfit alone on s
+          // Unfit alone on s. On the empty batch the probe allocates the
+          // job alone, as solo_efs does, so the two verdicts agree.
+          if (!view.solo_efs(s, *job) ||
+              probes[s].probe(job->shape) == nullptr) {
+            continue;
+          }
+          probes[s].admit();
           batch[s].push_back(job);
           closed[s] = 1;
           placed = true;
@@ -477,9 +491,9 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
         }
 
         // Grow slot s's open batch by this job through the slot's
-        // admission probe: assignments come back in the same largest-
-        // first order the execution pipeline will use, so the EFS we
-        // threshold against is the EFS the job will actually get.
+        // admission probe: the assignments it returns are the ones the
+        // batch executes with, so the EFS we threshold against is the EFS
+        // the job will actually get.
         const std::vector<PartitionAssignment>* alloc =
             probes[s].probe(job->shape);
         if (alloc == nullptr) {
@@ -553,13 +567,9 @@ FleetPlan pack_fleet(std::span<const FleetSlot> slots,
       any_batch = true;
       PackedBatch packed;
       for (const PackJob* job : batch[s]) packed.jobs.push_back(job->index);
-      if (probes[s].size() == batch[s].size()) {
-        // Every member was admitted through the probe (exclusive jobs
-        // bypass it), so its committed assignments are exactly the
-        // partitions the execution pipeline will re-derive — export them
-        // as provenance for the service's sweep-bind fast path.
-        packed.partitions = probes[s].admitted_partitions();
-      }
+      // Every member was admitted through the probe, so these are the
+      // partitions and EFS scores the batch executes with.
+      packed.assignments = probes[s].admitted_assignments();
       plan.batches[s].push_back(std::move(packed));
       // Close the round's open batch: its modeled runtime joins the lane's
       // planned drain, so the next round's admissions queue behind it.

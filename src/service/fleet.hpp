@@ -136,10 +136,10 @@ class AdmissionProbe {
   /// Jobs admitted to the open batch so far.
   [[nodiscard]] std::size_t size() const noexcept { return shapes_.size(); }
 
-  /// Qubit partition of each admitted job, in admission order (the
-  /// allocation-order assignments mapped back through order()). Used by
-  /// pack_fleet to export per-job partition provenance on closed batches.
-  [[nodiscard]] std::vector<std::vector<int>> admitted_partitions() const;
+  /// Partition and EFS of each admitted job, in admission order (the
+  /// allocation-order assignments mapped back through order()). pack_fleet
+  /// exports them on every closed batch as the partitions it executes on.
+  [[nodiscard]] std::vector<PartitionAssignment> admitted_assignments() const;
 
  private:
   void rebuild_session();

@@ -46,13 +46,12 @@ struct PackJob {
 
 struct PackedBatch {
   std::vector<std::size_t> jobs;  ///< PackJob::index values, queue order
-  /// Partition each member was admitted on (parallel to `jobs`), exported
-  /// from the admission probe when every member went through it. Empty
-  /// when unavailable (single_batch packing, exclusive jobs — they bypass
-  /// the probe). Consumers must re-derive partitions when empty; the
-  /// service's sweep fast path additionally re-verifies these against the
-  /// pipeline's own allocation before trusting a prebound transpile.
-  std::vector<std::vector<int>> partitions;
+  /// Partition and EFS of each member (parallel to `jobs`): the admission
+  /// probe's assignments, exclusive jobs included, or the one-shot
+  /// allocation of a single_batch plan. The plan is authoritative — the
+  /// batch executes on exactly these partitions. Empty only for a
+  /// single_batch batch that does not fit on its device.
+  std::vector<PartitionAssignment> assignments;
 };
 
 struct PackResult {
@@ -70,9 +69,10 @@ struct PackOptions {
   /// co-placement is rejected. EFS measures accumulated *error*, so larger
   /// thresholds admit noisier packings. infinity() disables the check.
   double efs_threshold = std::numeric_limits<double>::infinity();
-  /// Pack everything into exactly one batch with no feasibility checks;
-  /// the execution pipeline then reports failure for the whole batch when
-  /// it does not fit. This is run_parallel()'s historical contract.
+  /// Pack everything into exactly one batch, allocated once with no EFS
+  /// threshold check; the execution pipeline then reports failure for the
+  /// whole batch when it does not fit. This is run_parallel()'s
+  /// historical contract.
   bool single_batch = false;
   /// Admission probes grow the open batch one job at a time through a
   /// persistent AllocationSession (AdmissionProbe, service/fleet.hpp)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -43,6 +42,11 @@ std::uint64_t transpile_options_fp(
   return h;
 }
 
+std::runtime_error batch_does_not_fit(const Device& device) {
+  return std::runtime_error("run_batch_pipeline: batch does not fit on " +
+                            device.name());
+}
+
 }  // namespace
 
 BatchReport run_batch_pipeline(Backend& backend,
@@ -58,39 +62,39 @@ BatchReport run_batch_pipeline(Backend& backend,
 BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
                                const std::vector<Circuit>& programs,
                                const std::vector<std::string>& names,
-                               const ParallelOptions& options,
-                               PreboundTranspiles* prebound) {
+                               const ParallelOptions& options) {
   if (programs.empty()) {
     throw std::invalid_argument("run_batch_pipeline: no programs");
+  }
+  std::vector<ProgramShape> shapes;
+  shapes.reserve(programs.size());
+  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
+  const auto partitioner =
+      make_partitioner(options.method, options.sigma, options.srb_estimates);
+  const auto assignments = allocate_batch(epoch.device(), *partitioner,
+                                          shapes, &epoch.candidate_index());
+  if (!assignments) throw batch_does_not_fit(epoch.device());
+  return run_batch_pipeline(epoch, programs, names, *assignments, options);
+}
+
+BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
+                               const std::vector<Circuit>& programs,
+                               const std::vector<std::string>& names,
+                               std::span<const PartitionAssignment> assignment,
+                               const ParallelOptions& options) {
+  if (programs.empty()) {
+    throw std::invalid_argument("run_batch_pipeline: no programs");
+  }
+  const Device& device = epoch.device();
+  if (assignment.empty()) throw batch_does_not_fit(device);
+  if (assignment.size() != programs.size()) {
+    throw std::invalid_argument(
+        "run_batch_pipeline: one assignment per program required");
   }
   // Cap fan-out for the whole pipeline, not just the noisy executor: the
   // ideal_distribution() statevector passes below also engage
   // parallel_for on wide programs.
   const kern::ParallelThreadsGuard thread_cap(options.exec.kernel_threads);
-  const Device& device = epoch.device();
-
-  // Partition in QuMC's largest-first order.
-  std::vector<ProgramShape> shapes;
-  shapes.reserve(programs.size());
-  for (const Circuit& c : programs) shapes.push_back(shape_of(c));
-  const std::vector<std::size_t> order = allocation_order(shapes);
-  std::vector<ProgramShape> ordered_shapes;
-  ordered_shapes.reserve(shapes.size());
-  for (std::size_t idx : order) ordered_shapes.push_back(shapes[idx]);
-
-  const auto partitioner =
-      make_partitioner(options.method, options.sigma, options.srb_estimates);
-  const auto allocations = partitioner->allocate(
-      device, ordered_shapes, &epoch.candidate_index());
-  if (!allocations) {
-    throw std::runtime_error("run_batch_pipeline: batch does not fit on " +
-                             device.name());
-  }
-  // Assignment per original program index.
-  std::vector<PartitionAssignment> assignment(programs.size());
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    assignment[order[pos]] = (*allocations)[pos];
-  }
 
   // Transpile each program onto its partition, through the backend's
   // cache. CNA builds its gate-level crosstalk context from all co-runner
@@ -119,20 +123,8 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
     const std::uint64_t opts_fp = transpile_options_fp(
         options.method, options.sigma, options.optimize_circuits, context,
         options.srb_estimates);
-    TranspiledProgram tp;
-    if (prebound != nullptr && i < prebound->programs.size() &&
-        prebound->programs[i].has_value() &&
-        prebound->partitions[i] == assignment[i].qubits) {
-      // Sweep fast path: dispatch already probed the epoch cache for this
-      // job's structure and bound its template batch-at-a-time against
-      // this exact partition, so the per-job cache round-trip is skipped
-      // entirely. The partition equality check above makes this
-      // unconditional-safe: any divergence between the pack-time
-      // allocation and this pipeline's falls through to the normal path.
-      tp = *std::move(prebound->programs[i]);
-    } else {
-      tp = epoch.transpile(programs[i], assignment[i].qubits, topts, opts_fp);
-    }
+    TranspiledProgram tp =
+        epoch.transpile(programs[i], assignment[i].qubits, topts, opts_fp);
     swaps[i] = tp.swaps_added;
     layouts[i] = tp.final_layout;
     std::string name = (i < names.size() && !names[i].empty())
@@ -157,17 +149,9 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
     pr.efs = assignment[i].efs.score;
     pr.swaps_added = swaps[i];
     // Fused, backend-cached ideal pipeline: repeated submissions of the
-    // same circuit replay a precompiled kernel stream (sim/fusion.hpp).
-    // Sweep jobs carry their group's fusion plan from dispatch, so the
-    // reference program materializes directly — no per-job fingerprint
-    // hashing or program-cache lock. Bit-identical to the cached path.
-    if (prebound != nullptr && i < prebound->plans.size() &&
-        prebound->plans[i] != nullptr) {
-      pr.ideal = ideal_distribution(
-          CompiledProgram::materialize(*prebound->plans[i], programs[i]));
-    } else {
-      pr.ideal = ideal_distribution(*epoch.compiled_program(programs[i]));
-    }
+    // same circuit replay a precompiled kernel stream, and parameter
+    // sweeps materialize from one cached fusion plan (sim/fusion.hpp).
+    pr.ideal = ideal_distribution(*epoch.compiled_program(programs[i]));
     pr.noisy = run.programs[i].distribution;
     pr.counts = run.programs[i].counts;
     pr.jsd_value = jsd(pr.noisy, pr.ideal);
@@ -192,8 +176,7 @@ BatchReport run_batch_pipeline(const CalibrationEpoch& epoch,
 ExecutionService::ExecutionService(Device device, ServiceOptions options)
     : ExecutionService(
           std::make_shared<Backend>(std::move(device),
-                                    options.transpile_cache_capacity,
-                                    options.parametric_transpile),
+                                    options.transpile_cache_capacity),
           std::move(options)) {}
 
 ExecutionService::ExecutionService(std::shared_ptr<Backend> backend,
@@ -360,25 +343,6 @@ std::vector<JobHandle> ExecutionService::submit_all(
     if (!reject_degenerate(state)) queued.push_back(state);
   }
 
-  // Sweep detection: >= 2 jobs of one structural fingerprint in a single
-  // submitted vector, each with parameters to rebind, is parameter-sweep
-  // traffic — mark it so dispatch can probe the transpile cache once per
-  // (structure, partition) group and bind templates batch-at-a-time.
-  // Only submit_all() marks (the caller declared these jobs related);
-  // single-shot submit() traffic stays byte-for-byte on the per-job path.
-  {
-    std::map<std::uint64_t, std::size_t> structure_counts;
-    for (const JobPtr& state : queued) ++structure_counts[state->structural_fp];
-    for (const JobPtr& state : queued) {
-      if (structure_counts[state->structural_fp] < 2) continue;
-      const auto& ops = state->circuit.ops();
-      const bool has_params =
-          std::any_of(ops.begin(), ops.end(),
-                      [](const Gate& g) { return !g.params.empty(); });
-      state->sweep = has_params;
-    }
-  }
-
   const std::size_t shard = intake_->home_shard();
   if (queued.size() <= intake_->shard_capacity()) {
     // Fits in one lap: the all-or-nothing block push either publishes the
@@ -485,19 +449,13 @@ void ExecutionService::dispatch_pending() {
   // wait accounting see work dispatched in earlier cycles. Read under the
   // lane mutexes but used under pack_mutex_, so concurrent completions can
   // only make the snapshot conservative (stale-high), never inconsistent
-  // with the plan that consumes it. With realized-duration feedback on,
-  // the snapshot is scaled by the lane's observed realized/modeled ratio
-  // so routing prices how the lane actually drains, not just the model.
+  // with the plan that consumes it.
   std::vector<double> backlogs(lanes_.size(), 0.0);
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     std::lock_guard<std::mutex> lane_lock(lanes_[i]->mutex);
     backlogs[i] = lanes_[i]->backlog_s;
-    if (options_.feed_realized_durations) {
-      backlogs[i] *= lanes_[i]->realized_ratio;
-    }
   }
-  const FleetPlan plan =
-      scheduler_->plan(pack_jobs, *partitioner_, popts, backlogs);
+  FleetPlan plan = scheduler_->plan(pack_jobs, *partitioner_, popts, backlogs);
 
   for (std::size_t idx : plan.unplaceable) {
     const std::string where =
@@ -528,82 +486,6 @@ void ExecutionService::dispatch_pending() {
     outstanding_jobs_ += dispatched;
   }
 
-  // Sweep fast path: group sweep-marked jobs in this plan by (slot,
-  // structure, admitted partition), probe each epoch's transpile cache
-  // once per group and bind the group's templates batch-at-a-time
-  // (CalibrationEpoch::transpile_sweep — one epoch pin, one cache/lock
-  // acquisition, N binds). The prebound programs ride on the batches and
-  // run_batch_pipeline re-verifies each recorded partition against its
-  // own allocation before use, so results and cache counters are exactly
-  // what the per-job path produces. CNA is excluded: its options
-  // fingerprint folds in per-batch co-runner context, so there is no
-  // batch-independent key to group under; single_batch plans carry no
-  // partition provenance and skip naturally.
-  std::vector<std::vector<PreboundTranspiles>> prebound(plan.batches.size());
-  std::vector<std::uint64_t> slot_sweep_groups(plan.batches.size(), 0);
-  std::vector<std::uint64_t> slot_batched_binds(plan.batches.size(), 0);
-  const bool sweep_eligible = options_.parametric_transpile &&
-                              options_.transpile_cache_capacity > 0 &&
-                              options_.method != Method::CNA &&
-                              !options_.single_batch;
-  if (sweep_eligible) {
-    TranspileOptions topts = hardware_aware_options();
-    topts.optimize_input = options_.optimize_circuits;
-    topts.optimize_output = options_.optimize_circuits;
-    const std::uint64_t opts_fp = transpile_options_fp(
-        options_.method, options_.sigma, options_.optimize_circuits,
-        std::span<const int>{}, options_.srb_estimates);
-    for (std::size_t s = 0; s < plan.batches.size(); ++s) {
-      struct Target {
-        std::size_t batch;
-        std::size_t pos;
-        std::size_t job;
-      };
-      std::map<std::pair<std::uint64_t, std::vector<int>>, std::vector<Target>>
-          groups;
-      for (std::size_t b = 0; b < plan.batches[s].size(); ++b) {
-        const PackedBatch& pb = plan.batches[s][b];
-        if (pb.partitions.size() != pb.jobs.size()) continue;
-        for (std::size_t pos = 0; pos < pb.jobs.size(); ++pos) {
-          const JobPtr& job = jobs[pb.jobs[pos]];
-          if (!job->sweep) continue;
-          groups[{job->structural_fp, pb.partitions[pos]}].push_back(
-              Target{b, pos, pb.jobs[pos]});
-        }
-      }
-      if (groups.empty()) continue;
-      prebound[s].resize(plan.batches[s].size());
-      std::vector<const Circuit*> circuits;
-      std::vector<TranspiledProgram> bound;
-      for (auto& [group_key, targets] : groups) {
-        if (targets.size() < 2) continue;  // nothing to amortize
-        circuits.clear();
-        circuits.reserve(targets.size());
-        for (const Target& t : targets) circuits.push_back(&jobs[t.job]->circuit);
-        plan.epochs[s]->transpile_sweep(circuits, group_key.second, topts,
-                                        opts_fp, bound);
-        // One fusion-plan fetch for the whole group (memoized per
-        // structure): the pipeline's scoring pass materializes each
-        // job's ideal-reference program from it directly.
-        const std::shared_ptr<const FusionPlan> fusion_plan =
-            plan.epochs[s]->program_cache().plan(*circuits.front());
-        ++slot_sweep_groups[s];
-        slot_batched_binds[s] += targets.size();
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-          PreboundTranspiles& pre = prebound[s][targets[t].batch];
-          if (pre.empty()) {
-            pre.programs.resize(plan.batches[s][targets[t].batch].jobs.size());
-            pre.partitions.resize(pre.programs.size());
-            pre.plans.resize(pre.programs.size());
-          }
-          pre.programs[targets[t].pos] = std::move(bound[t]);
-          pre.partitions[targets[t].pos] = group_key.second;
-          pre.plans[targets[t].pos] = fusion_plan;
-        }
-      }
-    }
-  }
-
   const std::uint64_t num_lanes = lanes_.size();
   for (std::size_t s = 0; s < plan.batches.size(); ++s) {
     Lane& lane = *lanes_[s];
@@ -611,7 +493,7 @@ void ExecutionService::dispatch_pending() {
     {
       std::lock_guard<std::mutex> lane_lock(lane.mutex);
       for (std::size_t b = 0; b < plan.batches[s].size(); ++b) {
-        const PackedBatch& pb = plan.batches[s][b];
+        PackedBatch& pb = plan.batches[s][b];
         Batch batch;
         batch.index = lane.next_ordinal++ * num_lanes +
                       static_cast<std::uint64_t>(lane.id);
@@ -623,17 +505,13 @@ void ExecutionService::dispatch_pending() {
         batch.epoch = plan.epochs[s];
         batch.jobs.reserve(pb.jobs.size());
         for (std::size_t idx : pb.jobs) batch.jobs.push_back(jobs[idx]);
-        if (b < prebound[s].size()) {
-          batch.prebound = std::move(prebound[s][b]);
-        }
+        batch.assignments = std::move(pb.assignments);
         lane.jobs_routed += batch.jobs.size();
         lane.backlog_s += batch.modeled_exec_s;
         lane.queue.push_back(std::move(batch));
       }
       lane.wait_sum_s += plan.wait_sum_s[s];
       lane.wait_max_s = std::max(lane.wait_max_s, plan.wait_max_s[s]);
-      lane.sweep_groups += slot_sweep_groups[s];
-      lane.batched_binds += slot_batched_binds[s];
     }
     lane.cv.notify_all();
   }
@@ -680,17 +558,10 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch) {
   // must stay bit-identical to the historical single-shot behavior).
   popts.exec.seed = options_.exec.seed + kGolden * batch.index;
 
-  // Only read the clock when realized-duration feedback is on: the
-  // modeled-only mode must not depend on timing in any way.
-  const bool feed_realized = options_.feed_realized_durations;
-  std::chrono::steady_clock::time_point wall_start;
-  if (feed_realized) wall_start = std::chrono::steady_clock::now();
-
   std::size_t failed = 0;
   try {
     const BatchReport report = run_batch_pipeline(
-        *batch.epoch, circuits, names, popts,
-        batch.prebound.empty() ? nullptr : &batch.prebound);
+        *batch.epoch, circuits, names, batch.assignments, popts);
     BatchStats stats;
     stats.batch_index = batch.index;
     stats.backend_id = lane.id;
@@ -714,12 +585,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch) {
     failed = batch.jobs.size();
   }
 
-  double realized_s = 0.0;
-  if (feed_realized) {
-    realized_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count();
-  }
   // A batch that outlived its epoch completed against its pack-time
   // calibration while the backend already serves a newer one — the
   // overlap live recalibration exists to permit. Counted under the lane
@@ -735,18 +600,6 @@ void ExecutionService::execute_batch(Lane& lane, Batch batch) {
     // flip behind for the next dispatch cycle's wait estimates.
     lane.backlog_s = std::max(0.0, lane.backlog_s - batch.modeled_exec_s);
     if (stale_epoch) ++lane.stale_epoch_batches;
-    if (feed_realized) {
-      lane.realized_exec_sum_s += realized_s;
-      ++lane.realized_batches;
-      if (batch.modeled_exec_s > 0.0) {
-        // EWMA with alpha = 0.2: smooths per-batch wall-clock jitter while
-        // still tracking a lane whose real drain speed shifts.
-        constexpr double kAlpha = 0.2;
-        const double ratio = realized_s / batch.modeled_exec_s;
-        lane.realized_ratio =
-            (1.0 - kAlpha) * lane.realized_ratio + kAlpha * ratio;
-      }
-    }
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -827,14 +680,7 @@ ServiceStats ExecutionService::stats() const {
       bs.modeled_wait_max_s = lane->wait_max_s;
       bs.modeled_backlog_s = lane->backlog_s;
       bs.stale_epoch_batches = lane->stale_epoch_batches;
-      bs.realized_exec_sum_s = lane->realized_exec_sum_s;
-      bs.realized_batches = lane->realized_batches;
-      bs.realized_ratio = lane->realized_ratio;
-      bs.sweep_groups = lane->sweep_groups;
-      bs.batched_binds = lane->batched_binds;
     }
-    stats.sweep_groups += bs.sweep_groups;
-    stats.batched_binds += bs.batched_binds;
     stats.recalibrations += bs.recalibrations;
     stats.recalibration_build_s += bs.recalibration_build_s;
     stats.stale_epoch_batches += bs.stale_epoch_batches;

@@ -98,14 +98,10 @@ struct ServiceOptions {
   /// are pending, without waiting for flush(). Note: with concurrent
   /// submitters the batch boundaries then depend on arrival interleaving.
   std::size_t auto_flush_batch_size = 0;
+  /// Per-backend transpile cache entries; 0 transpiles every job from
+  /// scratch. The cache keys circuits structurally and serves parameter
+  /// sweeps by template binding (service/backend.hpp).
   std::size_t transpile_cache_capacity = 1024;
-  /// Parametric compilation: key the transpile cache structurally and
-  /// serve parameter-sweep traffic by template binding
-  /// (service/backend.hpp). Off reverts to exact-fingerprint caching —
-  /// identical results either way (binds are bit-identical), so this is a
-  /// performance A/B knob, not a semantics switch. Excluded from the
-  /// transpile-options fingerprint for the same reason.
-  bool parametric_transpile = true;
   /// Sharded MPSC intake (service/intake.hpp): number of submission
   /// shards. Each submitter thread homes on shard (thread ordinal mod
   /// shards), so up to this many producers publish without touching the
@@ -130,16 +126,6 @@ struct ServiceOptions {
   /// the from-scratch re-allocation path; off = reference path, kept for
   /// golden A/B tests.
   bool incremental_admission = true;
-  /// Feed *realized* batch durations back into the per-lane backlog the
-  /// next dispatch cycle routes on: each lane keeps an EWMA of
-  /// (measured wall-clock batch duration) / (modeled batch runtime), and
-  /// the backlog snapshot handed to ExpectedLatency routing is scaled by
-  /// it — a lane whose batches consistently run longer than the model
-  /// says attracts less traffic. Off (default) the service never reads a
-  /// clock and stays bit-identical to the modeled-only behavior. Note the
-  /// ratio calibrates modeled device-time against observed host-time
-  /// behavior; only its trend matters, not its absolute scale.
-  bool feed_realized_durations = false;
 };
 
 /// Per-backend slice of the service counters, keyed by registry id.
@@ -173,19 +159,6 @@ struct BackendStats {
   /// backend's current one — in-flight work that rode out a live
   /// recalibration on its pinned snapshot.
   std::uint64_t stale_epoch_batches = 0;
-  /// Realized-duration feedback (ServiceOptions::feed_realized_durations):
-  /// measured wall seconds summed over executed batches, the number of
-  /// batches measured, and the lane's current EWMA of realized/modeled
-  /// duration. All zero (ratio 1) when the knob is off.
-  double realized_exec_sum_s = 0.0;
-  std::uint64_t realized_batches = 0;
-  double realized_ratio = 1.0;
-  /// Sweep fast path (see ExecutionService::submit_all): groups of
-  /// same-structure jobs in this lane's planned batches whose templates
-  /// were probed once and bound batch-at-a-time at dispatch, and the
-  /// number of jobs that received a prebound transpile that way.
-  std::uint64_t sweep_groups = 0;
-  std::uint64_t batched_binds = 0;
   TranspileCacheStats transpile_cache;
 };
 
@@ -214,33 +187,10 @@ struct ServiceStats {
   std::uint64_t recalibrations = 0;
   double recalibration_build_s = 0.0;
   std::uint64_t stale_epoch_batches = 0;
-  /// Fleet-wide sweep fast-path totals (see the BackendStats fields).
-  std::uint64_t sweep_groups = 0;
-  std::uint64_t batched_binds = 0;
   /// Aggregate over every backend's transpile cache (current epochs).
   TranspileCacheStats transpile_cache;
   /// Per-backend breakdown, indexed by registry id.
   std::vector<BackendStats> backends;
-};
-
-/// Sweep fast-path payload for run_batch_pipeline: transpiles prebound at
-/// dispatch (ExecutionService::dispatch_pending groups same-structure
-/// sweep jobs per planned batch and binds their templates
-/// batch-at-a-time). Entries are parallel to the pipeline's programs;
-/// a disengaged program means "transpile normally". `partitions[i]` is
-/// the partition prebind i was computed against — the pipeline uses a
-/// prebound program only after verifying its own allocation reproduced
-/// that exact partition, so the fast path can never change results.
-/// `plans[i]` (when set) is the group's shared fusion plan, fetched once
-/// per sweep group from the epoch's program cache; the scoring pass
-/// materializes the ideal-reference program straight from it instead of
-/// paying a per-job fingerprint + cache round-trip. materialize() is
-/// bit-identical to the cached fused() compile, so results don't change.
-struct PreboundTranspiles {
-  std::vector<std::optional<TranspiledProgram>> programs;
-  std::vector<std::vector<int>> partitions;
-  std::vector<std::shared_ptr<const FusionPlan>> plans;
-  [[nodiscard]] bool empty() const noexcept { return programs.empty(); }
 };
 
 class ExecutionService {
@@ -323,9 +273,9 @@ class ExecutionService {
     /// batch's results or invalidate its partition/EFS decisions.
     std::shared_ptr<const CalibrationEpoch> epoch;
     std::vector<JobPtr> jobs;
-    /// Sweep fast path: transpiles already bound at dispatch, parallel to
-    /// `jobs` (empty when the batch has none).
-    PreboundTranspiles prebound;
+    /// The plan's partition and EFS per job, parallel to `jobs` (see
+    /// PackedBatch::assignments).
+    std::vector<PartitionAssignment> assignments;
   };
   /// Per-backend execution lane: its own batch queue, condition variable
   /// and worker threads, so devices drain concurrently without sharing
@@ -353,19 +303,6 @@ class ExecutionService {
     /// Batches that finished against an epoch the backend had already
     /// superseded (guarded by mutex) — the live-recalibration overlap.
     std::uint64_t stale_epoch_batches = 0;
-    /// Realized-duration feedback (only touched when
-    /// ServiceOptions::feed_realized_durations is on; guarded by mutex).
-    /// realized_ratio is an EWMA of measured-wall / modeled-runtime per
-    /// executed batch; the dispatch cycle multiplies its backlog snapshot
-    /// by it so routing sees a lane's *observed* drain speed.
-    double realized_ratio = 1.0;
-    double realized_exec_sum_s = 0.0;
-    std::uint64_t realized_batches = 0;
-    /// Sweep fast-path counters (written under pack_mutex_ at dispatch,
-    /// read under mutex at stats()-time via the same lane lock the
-    /// dispatch enqueue takes).
-    std::uint64_t sweep_groups = 0;
-    std::uint64_t batched_binds = 0;
     std::vector<std::thread> workers;
   };
 
@@ -415,30 +352,36 @@ class ExecutionService {
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< one per registry backend
 };
 
-/// The one true batch pipeline (partition -> transpile-with-cache ->
-/// simultaneous execution -> fidelity metrics -> runtime model), shared by
-/// the service workers and the run_parallel() compatibility shim. `names`
+/// The one true batch pipeline (transpile-with-cache -> simultaneous
+/// execution -> fidelity metrics -> runtime model) on a planned batch:
+/// `assignments[i]` is the partition and EFS program i executes with, as
+/// the packer admitted it (PackedBatch::assignments). Runs entirely
+/// against one calibration epoch (device snapshot + caches + derived noise
+/// constants); the service workers pass each batch's pack-time epoch, so
+/// execution matches planning even across a live recalibration. `names`
 /// overrides per-program report names; empty entries (or an empty vector)
 /// fall back to the circuit name / "program<i>". Throws
-/// std::invalid_argument for config errors and std::runtime_error when the
-/// batch cannot be placed.
+/// std::invalid_argument for config errors and std::runtime_error ("batch
+/// does not fit on <device>") when `assignments` is empty — the plan of a
+/// single_batch batch that does not fit.
+[[nodiscard]] BatchReport run_batch_pipeline(
+    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const std::vector<std::string>& names,
+    std::span<const PartitionAssignment> assignments,
+    const ParallelOptions& options);
+
+/// Un-planned entry (run_parallel() and direct callers): allocates the
+/// batch once, largest-first with `options.method`'s partitioner, then
+/// runs the planned pipeline above. Throws std::runtime_error ("batch does
+/// not fit on <device>") when the batch cannot be placed.
+[[nodiscard]] BatchReport run_batch_pipeline(
+    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
+    const std::vector<std::string>& names, const ParallelOptions& options);
+
+/// Un-planned entry on the backend's current epoch.
 [[nodiscard]] BatchReport run_batch_pipeline(
     Backend& backend, const std::vector<Circuit>& programs,
     const std::vector<std::string>& names, const ParallelOptions& options);
-
-/// Epoch-pinned form: runs the pipeline entirely against one calibration
-/// epoch (device snapshot + caches + derived noise constants). The
-/// Backend& overload forwards here with the backend's current epoch; the
-/// service workers call it with each batch's pack-time epoch so execution
-/// matches planning even across a live recalibration. `prebound`
-/// (optional) carries dispatch-time batch-bound transpiles; each entry is
-/// consumed (moved from) only when its recorded partition matches the
-/// allocation this pipeline derives, otherwise that program transpiles
-/// through the epoch cache as usual — results are identical either way.
-[[nodiscard]] BatchReport run_batch_pipeline(
-    const CalibrationEpoch& epoch, const std::vector<Circuit>& programs,
-    const std::vector<std::string>& names, const ParallelOptions& options,
-    PreboundTranspiles* prebound = nullptr);
 
 /// Modeled fleet drain time for a set of finished jobs: batches are
 /// grouped by (backend id, batch index), each backend's occupancy is the

@@ -436,16 +436,11 @@ Distribution ideal_distribution(const CompiledProgram& program) {
       sv.amplitudes(), program.num_clbits(), program.measurements());
 }
 
-std::shared_ptr<const FusionPlan> CompiledProgramCache::plan(
-    const Circuit& circuit) const {
-  return plan_for(structural_fingerprint(circuit), circuit);
-}
-
 std::shared_ptr<const FusionPlan> CompiledProgramCache::plan_for(
     const std::uint64_t key, const Circuit& circuit) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = plans_.find(key); it != plans_.end()) {
+    if (auto it = plans_.map.find(key); it != plans_.map.end()) {
       ++plan_hits_;
       return it->second;
     }
@@ -455,52 +450,24 @@ std::shared_ptr<const FusionPlan> CompiledProgramCache::plan_for(
   auto built = std::make_shared<const FusionPlan>(FusionPlan::build(circuit));
   std::lock_guard<std::mutex> lock(mutex_);
   ++plan_builds_;
-  auto [it, inserted] = plans_.emplace(key, std::move(built));
-  if (inserted) {
-    plans_order_.push_back(key);
-    if (plans_.size() > kMaxEntries) {
-      plans_.erase(plans_order_.front());
-      plans_order_.pop_front();
-    }
-  }
-  return it->second;
+  return plans_.put(key, std::move(built));
 }
 
 std::shared_ptr<const CompiledProgram> CompiledProgramCache::fused(
     const Circuit& circuit) const {
   const CircuitFingerprints fp = circuit_fingerprints(circuit);
-  const std::uint64_t key = fp.exact;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = fused_.find(key); it != fused_.end()) return it->second;
+    if (auto hit = fused_.find(fp.exact)) return hit;
   }
-  // Exact-fingerprint miss: fetch (or build) the structural plan, then
-  // materialize this circuit's matrices against it. A parameter sweep
-  // over one ansatz pays the fusion walk once — every later binding is a
-  // plan hit plus the cheap matrix products. With the parametric knob off
-  // the plan cache is bypassed and every distinct circuit pays the full
-  // fusion walk. Both halves run outside the lock; results are
-  // deterministic either way.
-  std::shared_ptr<const CompiledProgram> program;
-  if (parametric_) {
-    const std::shared_ptr<const FusionPlan> p = plan_for(fp.structural, circuit);
-    program = std::make_shared<const CompiledProgram>(
-        CompiledProgram::materialize(*p, circuit));
-  } else {
-    program = std::make_shared<const CompiledProgram>(
-        CompiledProgram::compile(circuit));
-  }
+  // Exact miss: fetch (or build) the structural plan, then materialize
+  // this circuit's matrices against it, outside the lock. A parameter
+  // sweep over one ansatz pays the fusion walk once — every later binding
+  // is a plan hit plus the cheap matrix products.
+  auto program = std::make_shared<const CompiledProgram>(
+      CompiledProgram::materialize(*plan_for(fp.structural, circuit), circuit));
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!parametric_) ++plan_builds_;  // a fusion walk ran, just uncached
-  auto [it, inserted] = fused_.emplace(key, std::move(program));
-  if (inserted) {
-    fused_order_.push_back(key);
-    if (fused_.size() > kMaxEntries) {
-      fused_.erase(fused_order_.front());
-      fused_order_.pop_front();
-    }
-  }
-  return it->second;
+  return fused_.admit(fp.exact, std::move(program));
 }
 
 std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
@@ -508,33 +475,22 @@ std::shared_ptr<const CompiledExecutable> CompiledProgramCache::executable(
   const std::uint64_t key = circuit_fingerprint(physical);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = executables_.find(key); it != executables_.end()) {
-      return it->second;
-    }
+    if (auto hit = executables_.find(key)) return hit;
   }
   // Assemble piecewise (friend access) instead of via
   // CompiledExecutable::compile so the fused half of the executable also
   // flows through the plan cache.
-  auto exe_ptr = std::make_shared<CompiledExecutable>();
-  exe_ptr->lowered_ = lower_to_cx_basis(physical);
-  exe_ptr->channels_ = compile_ops(exe_ptr->lowered_, matrices);
-  exe_ptr->fused_compacted_ = fused(exe_ptr->lowered_.compacted());
-  std::shared_ptr<const CompiledExecutable> exe = std::move(exe_ptr);
+  auto exe = std::make_shared<CompiledExecutable>();
+  exe->lowered_ = lower_to_cx_basis(physical);
+  exe->channels_ = compile_ops(exe->lowered_, matrices);
+  exe->fused_compacted_ = fused(exe->lowered_.compacted());
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = executables_.emplace(key, std::move(exe));
-  if (inserted) {
-    executables_order_.push_back(key);
-    if (executables_.size() > kMaxEntries) {
-      executables_.erase(executables_order_.front());
-      executables_order_.pop_front();
-    }
-  }
-  return it->second;
+  return executables_.admit(key, std::move(exe));
 }
 
 std::size_t CompiledProgramCache::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return fused_.size() + executables_.size();
+  return fused_.held.map.size() + executables_.held.map.size();
 }
 
 std::uint64_t CompiledProgramCache::plan_builds() const {

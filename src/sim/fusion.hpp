@@ -228,16 +228,17 @@ class CompiledExecutable {
 /// shared_ptr so FIFO eviction can never invalidate a program a simulation
 /// is replaying. Bounded: an endless stream of distinct circuits evicts
 /// oldest-first instead of growing without limit.
+///
+/// A program enters the exact-fingerprint memo on its second sighting.
+/// The first sighting records only the fingerprint (and a weak reference,
+/// so a repeat while the first program is still in use returns that same
+/// object). A circuit that recurs is served from the memo from then on; a
+/// parameter sweep's fresh-angle programs are never seen twice and are
+/// never held, while their fusion walk is still shared through the
+/// structural plan cache.
 class CompiledProgramCache {
  public:
   static constexpr std::size_t kMaxEntries = 1 << 10;
-
-  /// `parametric` gates the structural fusion-plan cache: when false,
-  /// exact-fingerprint misses compile from scratch (full fusion walk per
-  /// circuit) — the pre-parametric behavior, kept selectable so the knob
-  /// that disables template transpilation disables plan reuse too.
-  explicit CompiledProgramCache(bool parametric = true) noexcept
-      : parametric_(parametric) {}
 
   /// Fused compilation of `circuit` (ideal pipeline).
   [[nodiscard]] std::shared_ptr<const CompiledProgram> fused(
@@ -249,13 +250,6 @@ class CompiledProgramCache {
   [[nodiscard]] std::shared_ptr<const CompiledExecutable> executable(
       const Circuit& physical, GateMatrixCache* matrices = nullptr) const;
 
-  /// Fusion plan for `circuit`'s structure, memoized per
-  /// structural_fingerprint. Exact-fingerprint misses in fused() and
-  /// executable() go through here, so a parameter sweep over one ansatz
-  /// runs the fusion walk once and only re-materializes matrices.
-  [[nodiscard]] std::shared_ptr<const FusionPlan> plan(
-      const Circuit& circuit) const;
-
   /// Distinct programs currently held (fused + executable).
   [[nodiscard]] std::size_t entries() const;
 
@@ -264,24 +258,69 @@ class CompiledProgramCache {
   [[nodiscard]] std::uint64_t plan_hits() const;
 
  private:
-  /// Plan lookup with the structural key already in hand (fused() computes
-  /// both fingerprints in one circuit walk).
+  /// Fusion plan for `circuit`'s structure, memoized per
+  /// structural_fingerprint (`structural_key`). Exact-fingerprint misses
+  /// in fused() and executable() go through here, so a parameter sweep
+  /// over one ansatz runs the fusion walk once and only re-materializes
+  /// matrices.
   [[nodiscard]] std::shared_ptr<const FusionPlan> plan_for(
       std::uint64_t structural_key, const Circuit& circuit) const;
 
-  bool parametric_ = true;
+  /// FIFO-bounded map from fingerprint to entry.
+  template <class T>
+  struct FifoMap {
+    std::unordered_map<std::uint64_t, T> map;
+    std::deque<std::uint64_t> order;
+
+    /// Inserts `value` unless `key` is held; returns the held entry.
+    T& put(const std::uint64_t key, T value) {
+      auto [it, inserted] = map.emplace(key, std::move(value));
+      if (inserted) {
+        order.push_back(key);
+        if (map.size() > kMaxEntries) {
+          map.erase(order.front());
+          order.pop_front();
+        }
+      }
+      return it->second;
+    }
+  };
+
+  /// Exact-fingerprint memo with second-sighting admission (see the class
+  /// comment). Both members are called under `mutex_`.
+  template <class T>
+  struct ExactMemo {
+    FifoMap<std::shared_ptr<const T>> held;
+    FifoMap<std::weak_ptr<const T>> seen;  ///< first sightings
+
+    /// Held entry for `key`, or a seen one still alive elsewhere (which
+    /// is admitted); nullptr on a miss.
+    std::shared_ptr<const T> find(const std::uint64_t key) {
+      if (auto it = held.map.find(key); it != held.map.end()) return it->second;
+      if (auto it = seen.map.find(key); it != seen.map.end()) {
+        if (auto live = it->second.lock()) {
+          return held.put(key, std::move(live));
+        }
+      }
+      return nullptr;
+    }
+
+    /// Records `built` after a miss: admitted if `key` was seen before,
+    /// else remembered as a first sighting. Returns the entry to use.
+    std::shared_ptr<const T> admit(const std::uint64_t key,
+                                   std::shared_ptr<const T> built) {
+      if (auto it = held.map.find(key); it != held.map.end()) return it->second;
+      if (seen.map.count(key) != 0) return held.put(key, std::move(built));
+      seen.put(key, built);
+      return built;
+    }
+  };
+
   mutable std::mutex mutex_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const CompiledProgram>>
-      fused_;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const CompiledExecutable>>
-      executables_;
-  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const FusionPlan>>
-      plans_;  ///< keyed by structural_fingerprint
-  mutable std::deque<std::uint64_t> fused_order_;        ///< FIFO eviction
-  mutable std::deque<std::uint64_t> executables_order_;  ///< FIFO eviction
-  mutable std::deque<std::uint64_t> plans_order_;        ///< FIFO eviction
+  mutable ExactMemo<CompiledProgram> fused_;
+  mutable ExactMemo<CompiledExecutable> executables_;
+  mutable FifoMap<std::shared_ptr<const FusionPlan>>
+      plans_;  ///< keyed by structural_fingerprint, admitted on first build
   mutable std::uint64_t plan_builds_ = 0;
   mutable std::uint64_t plan_hits_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <string>
@@ -595,7 +596,71 @@ std::vector<std::unique_ptr<Partitioner>> candidate_partitioners(
   out.push_back(std::make_unique<QumcPartitioner>(std::move(estimates)));
   out.push_back(std::make_unique<QucloudPartitioner>());
   out.push_back(std::make_unique<MultiqcPartitioner>());
+  out.push_back(std::make_unique<NaivePartitioner>());
   return out;
+}
+
+/// Assignment bit-identity: same qubits, the same EFS doubles (every
+/// breakdown term, compared bitwise) and the same flagged crosstalk edges.
+void expect_assignments_identical(
+    const std::vector<PartitionAssignment>& a,
+    const std::vector<PartitionAssignment>& b, const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].qubits, b[i].qubits) << context << " member " << i;
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(a[i].efs.score), bits(b[i].efs.score))
+        << context << " member " << i;
+    EXPECT_EQ(bits(a[i].efs.avg_2q), bits(b[i].efs.avg_2q))
+        << context << " member " << i;
+    EXPECT_EQ(bits(a[i].efs.avg_1q), bits(b[i].efs.avg_1q))
+        << context << " member " << i;
+    EXPECT_EQ(bits(a[i].efs.readout_sum), bits(b[i].efs.readout_sum))
+        << context << " member " << i;
+    EXPECT_EQ(a[i].efs.crosstalk_edges, b[i].efs.crosstalk_edges)
+        << context << " member " << i;
+  }
+}
+
+/// The plan is what executes: every exported batch must equal a from-
+/// scratch allocation of its members in allocation_order, mapped back to
+/// admission order — the second allocation the execution pipeline used
+/// to make, called directly.
+void expect_batches_match_fresh_allocation(
+    const FleetPlan& plan, std::span<const FleetSlot> slots,
+    std::span<const PackJob> jobs, const Partitioner& partitioner,
+    const std::string& context) {
+  for (std::size_t s = 0; s < plan.batches.size(); ++s) {
+    for (std::size_t b = 0; b < plan.batches[s].size(); ++b) {
+      const PackedBatch& pb = plan.batches[s][b];
+      const std::string where =
+          context + " slot " + std::to_string(s) + " batch " +
+          std::to_string(b);
+      std::vector<ProgramShape> shapes;
+      for (std::size_t idx : pb.jobs) {
+        const auto job = std::find_if(
+            jobs.begin(), jobs.end(),
+            [&](const PackJob& j) { return j.index == idx; });
+        ASSERT_NE(job, jobs.end()) << where;
+        shapes.push_back(job->shape);
+      }
+      const std::vector<std::size_t> order = allocation_order(shapes);
+      std::vector<ProgramShape> ordered;
+      for (std::size_t idx : order) ordered.push_back(shapes[idx]);
+      const auto fresh =
+          partitioner.allocate(*slots[s].device, ordered, slots[s].index);
+      if (!fresh) {
+        // Only a single_batch plan holds a batch that does not fit.
+        EXPECT_TRUE(pb.assignments.empty()) << where;
+        continue;
+      }
+      std::vector<PartitionAssignment> expected(shapes.size());
+      for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        expected[order[pos]] = (*fresh)[pos];
+      }
+      expect_assignments_identical(pb.assignments, expected, where);
+    }
+  }
 }
 
 /// Full-plan bit-identity: every decision AND every accounting double.
@@ -610,6 +675,10 @@ void expect_plans_identical(const FleetPlan& a, const FleetPlan& b,
     for (std::size_t i = 0; i < a.batches[s].size(); ++i) {
       EXPECT_EQ(a.batches[s][i].jobs, b.batches[s][i].jobs)
           << context << " slot " << s << " batch " << i;
+      expect_assignments_identical(
+          a.batches[s][i].assignments, b.batches[s][i].assignments,
+          context + " slot " + std::to_string(s) + " batch " +
+              std::to_string(i));
     }
     EXPECT_EQ(a.batch_exec_s[s], b.batch_exec_s[s]) << context << " slot "
                                                     << s;
@@ -642,11 +711,12 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
   // Golden A/B for the grow-one admission probe: with
   // PackOptions::incremental_admission on, pack_fleet must reproduce the
   // from-scratch re-allocation path bit for bit — same batches, same
-  // spill stream, same modeled-seconds doubles, same solo-EFS cache
-  // fills — over randomized job streams (exclusive jobs and tight EFS
-  // thresholds included) on every bundled topology, for every candidate
-  // partitioner (with and without grow_one support) both with and
-  // without the backend's CandidateIndex.
+  // exported assignments, same spill stream, same modeled-seconds
+  // doubles, same solo-EFS cache fills — over randomized job streams
+  // (exclusive jobs and tight EFS thresholds included) on every bundled
+  // topology, for every partitioner (with and without grow_one support)
+  // both with and without the backend's CandidateIndex. Both arms'
+  // exported batches must also equal a fresh allocation of their members.
   Rng rng(20260808);
   for (const Device& device : bundled_topologies()) {
     CandidateIndex index(device);  // persists across trials, like Backend's
@@ -681,6 +751,12 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalOnAllTopologies) {
                          *partitioner, inc_opts, nullptr);
           expect_plans_identical(reference, incremental, context);
           EXPECT_EQ(cache_ref, cache_inc) << context;
+          expect_batches_match_fresh_allocation(
+              reference, std::span<const FleetSlot>(&slot_ref, 1), jobs,
+              *partitioner, context + "/reference");
+          expect_batches_match_fresh_allocation(
+              incremental, std::span<const FleetSlot>(&slot_inc, 1), jobs,
+              *partitioner, context + "/incremental");
         }
       }
     }
@@ -692,7 +768,8 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
   // policy (and the policy-less id-order engine), with lopsided modeled
   // backlogs so the queue-aware path and the reservation lane are
   // exercised: the probe must not shift a single routing decision, spill,
-  // or wait/reservation double.
+  // exported assignment, or wait/reservation double, and every exported
+  // batch must equal a fresh allocation on its slot's device.
   Rng rng(8088);
   const QucpPartitioner partitioner;
   for (int trial = 0; trial < 5; ++trial) {
@@ -716,8 +793,12 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
           PackOptions arm = opts;
           arm.incremental_admission = incremental;
           const auto policy = use_policy ? make_routing_policy(kind) : nullptr;
-          return pack_fleet(fleet.slots, jobs, partitioner, arm, policy.get(),
-                            backlog);
+          const FleetPlan plan = pack_fleet(fleet.slots, jobs, partitioner,
+                                            arm, policy.get(), backlog);
+          expect_batches_match_fresh_allocation(
+              plan, fleet.slots, jobs, partitioner,
+              context + (incremental ? "/incremental" : "/reference"));
+          return plan;
         };
         const FleetPlan reference = run(false);
         const FleetPlan incremental = run(true);
@@ -726,6 +807,51 @@ TEST(PackFleet, IncrementalAdmissionBitIdenticalAcrossPoliciesAndBacklogs) {
       }
     }
   }
+}
+
+TEST(PackFleet, SingleBatchPlanIsOneFreshAllocation) {
+  // single_batch plans skip the admission probe: pack_fleet allocates the
+  // whole batch once, and that allocation is what executes. A batch that
+  // fits exports it; one that does not exports no assignments, which the
+  // execution pipeline reports as "batch does not fit".
+  const Device device = make_line_device(9);
+  const CandidateIndex index(device);
+  const QucpPartitioner partitioner;
+  Rng rng(4711);
+  PackOptions opts;
+  opts.single_batch = true;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<PackJob> jobs;
+    for (std::size_t i = 0; i < 3; ++i) {
+      ProgramShape s;
+      s.num_qubits = static_cast<int>(rng.integer(1, 3));
+      s.num_2q = s.num_qubits >= 2 ? static_cast<int>(rng.integer(0, 9)) : 0;
+      s.num_1q = static_cast<int>(rng.integer(0, 9));
+      jobs.push_back(make_job(i, s, rng.next_u64()));
+    }
+    std::map<std::uint64_t, double> cache;
+    const FleetSlot slot{&device, &index, &cache};
+    const std::span<const FleetSlot> slots(&slot, 1);
+    const FleetPlan plan =
+        pack_fleet(slots, jobs, partitioner, opts, nullptr);
+    ASSERT_EQ(plan.batches[0].size(), 1u);
+    EXPECT_EQ(plan.batches[0][0].jobs.size(), jobs.size());
+    expect_batches_match_fresh_allocation(plan, slots, jobs, partitioner,
+                                          "trial" + std::to_string(trial));
+  }
+
+  std::vector<PackJob> too_wide;
+  for (std::size_t i = 0; i < 3; ++i) {
+    too_wide.push_back(make_job(i, ProgramShape{4, 3, 0}, i));
+  }
+  std::map<std::uint64_t, double> cache;
+  const FleetSlot slot{&device, &index, &cache};
+  const FleetPlan plan = pack_fleet(std::span<const FleetSlot>(&slot, 1),
+                                    too_wide, partitioner, opts, nullptr);
+  ASSERT_EQ(plan.batches[0].size(), 1u);
+  EXPECT_EQ(plan.batches[0][0].jobs.size(), 3u);
+  EXPECT_TRUE(plan.batches[0][0].assignments.empty());
+  EXPECT_TRUE(plan.unplaceable.empty());
 }
 
 TEST(FleetScheduler, SingleBackendBypassesPolicy) {

@@ -666,6 +666,30 @@ TEST(CompiledProgramCache, MemoizesByFingerprint) {
   EXPECT_EQ(cache.entries(), 2u);
 }
 
+TEST(CompiledProgramCache, AdmitsOnSecondSighting) {
+  // A program seen once and released is not held; the second sighting of
+  // the same circuit is. A fixed-angle parameterized circuit that recurs
+  // is memoized like any other.
+  CompiledProgramCache cache;
+  Circuit c(2, 2);
+  c.ry(0.7, 0);
+  c.cx(0, 1);
+  c.rz(1.3, 1);
+  c.measure_all();
+  (void)cache.fused(c);
+  EXPECT_EQ(cache.entries(), 0u);
+  const auto held = cache.fused(c);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.fused(c).get(), held.get());
+  EXPECT_EQ(cache.plan_builds(), 1u);
+  const std::size_t before = cache.entries();
+  (void)cache.executable(c);
+  EXPECT_EQ(cache.entries(), before);
+  const auto exe = cache.executable(c);
+  EXPECT_GT(cache.entries(), before);
+  EXPECT_EQ(cache.executable(c).get(), exe.get());
+}
+
 TEST(NativeKernels, ScalarAndNativeDenseKernelsAgree) {
   if (!kern::native_kernels_active()) {
     GTEST_SKIP() << "native kernels not compiled/supported on this machine";

@@ -309,65 +309,6 @@ TEST(ParametricTranspile, ConcurrentBindsAreRaceFreeAndExact) {
   EXPECT_GT(stats.structural_hits, 0u);
 }
 
-TEST(ParametricTranspile, BindManyBitIdenticalToSequentialBinds) {
-  // bind_many() is the sweep fast path's workhorse: N bindings evaluated
-  // against one routed program with the evaluation arena and patch list
-  // hoisted out of the loop. Every engaged entry must be bit-identical to
-  // the corresponding bind() call, and a binding that flips a recorded
-  // optimizer decision (an angle landing on an identity) must leave its
-  // entry disengaged exactly where bind() returns nullopt — without
-  // disturbing its neighbors.
-  std::uint64_t seed = 5200;
-  const TranspileOptions topts = hardware_aware_options();
-  for (const Device& device : bundled_devices()) {
-    Rng rng(seed++);
-    const std::vector<int> partition = random_region(device, rng, 3);
-    const Circuit base = random_logical_circuit(3, rng, 30);
-    const std::optional<TranspileTemplate> tmpl =
-        TranspileTemplate::build(base, device, partition, topts);
-    ASSERT_TRUE(tmpl.has_value()) << device.name();
-
-    std::vector<Circuit> sweep;
-    std::vector<ParamBinding> bindings;
-    for (int i = 0; i < 12; ++i) {
-      Circuit c = rebound(base, rng, 0.1, 3.0);
-      if (i % 4 == 3) {
-        // Zero out the first parameterized rotation: lands on an identity
-        // the representative binding did not have, flipping a recorded
-        // decision for circuits where the optimizer logged one.
-        for (std::size_t op = 0; op < c.ops().size(); ++op) {
-          if (!c.ops()[op].params.empty()) {
-            c.set_param(op, 0, 0.0);
-            break;
-          }
-        }
-      }
-      bindings.emplace_back(c);
-      sweep.push_back(std::move(c));
-    }
-
-    std::vector<std::optional<TranspiledProgram>> batch;
-    tmpl->bind_many(bindings, batch);
-    ASSERT_EQ(batch.size(), sweep.size()) << device.name();
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const std::optional<TranspiledProgram> one =
-          tmpl->bind(bindings[i].values);
-      ASSERT_EQ(batch[i].has_value(), one.has_value())
-          << device.name() << " binding " << i;
-      if (one.has_value()) {
-        expect_programs_bit_identical(
-            *batch[i], *one, device.name() + " binding " + std::to_string(i));
-      }
-    }
-    // Slot-count mismatch disengages rather than evaluating garbage.
-    std::vector<ParamBinding> wrong(1);
-    wrong[0].values.assign(bindings[0].values.size() + 1, 0.5);
-    tmpl->bind_many(wrong, batch);
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_FALSE(batch[0].has_value()) << device.name();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Fusion-plan materialization
 // ---------------------------------------------------------------------------
@@ -444,6 +385,8 @@ TEST(ParametricFusion, SweepRunsFusionWalkOnce) {
   }
   EXPECT_EQ(backend.program_cache().plan_builds(), 1u);
   EXPECT_EQ(backend.program_cache().plan_hits(), 49u);
+  // No fresh-angle program is seen twice, so none is held in the memo.
+  EXPECT_EQ(backend.program_cache().entries(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,12 +403,13 @@ struct Digest {
   [[nodiscard]] bool operator==(const Digest&) const = default;
 };
 
-std::map<std::string, Digest> sweep_through_service(bool parametric) {
+std::map<std::string, Digest> sweep_through_service(
+    std::size_t cache_capacity) {
   ServiceOptions opts;
   opts.exec.shots = 128;
   opts.num_workers = 2;
   opts.max_batch_size = 4;
-  opts.parametric_transpile = parametric;
+  opts.transpile_cache_capacity = cache_capacity;
   ExecutionService service(make_toronto27(), opts);
   Rng rng(5150);
   std::vector<JobHandle> handles;
@@ -486,7 +430,7 @@ std::map<std::string, Digest> sweep_through_service(bool parametric) {
     out[h.name()] = {r.report.partition, r.report.counts.data(),
                      r.report.pst_value, r.report.jsd_value};
   }
-  if (parametric) {
+  if (cache_capacity > 0) {
     // The sweep shares one structure: beyond the first job per partition,
     // transpiles must be served by template binds.
     EXPECT_GT(service.stats().transpile_cache.structural_hits, 0u);
@@ -495,17 +439,18 @@ std::map<std::string, Digest> sweep_through_service(bool parametric) {
 }
 
 TEST(ParametricService, SweepResultsIdenticalWithCacheOnAndOff) {
-  // parametric_transpile is a performance knob: the exact same jobs
-  // through a parametric and a non-parametric service must produce
+  // Template binding is a performance path: the exact same jobs through a
+  // service with the structural transpile cache and through one that
+  // transpiles every job from scratch (capacity 0) must produce
   // bit-identical partitions, counts, and metrics.
-  const auto on = sweep_through_service(true);
-  const auto off = sweep_through_service(false);
+  const auto on = sweep_through_service(1024);
+  const auto off = sweep_through_service(0);
   ASSERT_EQ(on.size(), 24u);
   EXPECT_EQ(on, off);
 }
 
 // ---------------------------------------------------------------------------
-// Sweep fast path: submit_all batched binding vs one-by-one submission
+// Sweep traffic: submit_all vs one-by-one submission
 // ---------------------------------------------------------------------------
 
 /// Build `count` jobs over `structures` distinct ansatz structures
@@ -532,11 +477,9 @@ std::vector<Circuit> sweep_jobs(Rng& rng, int structures, int count,
 void expect_cache_stats_equal(const ServiceStats& sweep,
                               const ServiceStats& singles,
                               const std::string& label) {
-  // Everything the epoch cache counts must be identical: the fast path
-  // delegates misses/hits/fallbacks to the per-call transpile() and bulk-
-  // commits structural hits, so the decision chain is exactly sequential.
-  // bind_ns is wall-clock and sweep_groups/batched_binds are *supposed* to
-  // differ — they are the fast path's own odometer.
+  // Everything the epoch cache counts must be identical: both services
+  // make the same transpile() calls in the same order, so the decision
+  // chain matches. bind_ns is wall-clock and left out.
   EXPECT_EQ(sweep.transpile_cache.hits, singles.transpile_cache.hits) << label;
   EXPECT_EQ(sweep.transpile_cache.misses, singles.transpile_cache.misses)
       << label;
@@ -553,11 +496,10 @@ void expect_cache_stats_equal(const ServiceStats& sweep,
 }
 
 TEST(ParametricService, SubmitAllSweepBitIdenticalToSingles) {
-  // The tentpole contract: submit_all() sweep traffic through the batched
-  // template-bind fast path must be bit-identical to submitting the same
-  // circuits one at a time — same job ids, names, partitions, counts,
+  // submit_all() sweep traffic must be bit-identical to submitting the
+  // same circuits one at a time — same job ids, names, partitions, counts,
   // metrics, and the same epoch-cache counter totals. Run with the cache
-  // on (fast path engaged) and off (fast path self-disables).
+  // on (template binds) and off (every job transpiled from scratch).
   for (const std::size_t capacity : {std::size_t{1024}, std::size_t{0}}) {
     const auto make_opts = [&] {
       ServiceOptions opts;
@@ -601,15 +543,6 @@ TEST(ParametricService, SubmitAllSweepBitIdenticalToSingles) {
     const ServiceStats sa = sweep_svc.stats();
     const ServiceStats sb = single_svc.stats();
     expect_cache_stats_equal(sa, sb, label);
-    if (capacity > 0) {
-      EXPECT_GT(sa.sweep_groups, 0u) << label;
-      EXPECT_GE(sa.batched_binds, 2 * sa.sweep_groups) << label;
-    } else {
-      EXPECT_EQ(sa.sweep_groups, 0u) << label;
-    }
-    // One-by-one submission never engages the fast path.
-    EXPECT_EQ(sb.sweep_groups, 0u) << label;
-    EXPECT_EQ(sb.batched_binds, 0u) << label;
   }
 }
 
@@ -662,8 +595,6 @@ TEST(ParametricService, SubmitAllSweepFuzzMultiProducer) {
             static_cast<std::size_t>(kProducers * kPerProducer));
   EXPECT_EQ(sweep_digests, single_digests);
   expect_cache_stats_equal(sweep_stats, single_stats, "multi-producer");
-  EXPECT_GT(sweep_stats.sweep_groups, 0u);
-  EXPECT_EQ(single_stats.sweep_groups, 0u);
 }
 
 }  // namespace

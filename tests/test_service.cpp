@@ -502,6 +502,48 @@ TEST(ExecutionService, ExclusiveUnplaceableJobFailsCleanly) {
   EXPECT_EQ(service.stats().spill_events, 0u);
 }
 
+TEST(ExecutionService, SingleBatchRunsItsOneShotAllocation) {
+  // A single_batch service executes the batch on the allocation pack_fleet
+  // made once, which must be the allocation the un-planned pipeline makes
+  // for the same programs: identical partitions, EFS and counts (batch 0
+  // runs on the caller's seed). A batch that does not fit fails every job
+  // with the pipeline's "does not fit" message.
+  const Device d = make_toronto27();
+  const std::vector<Circuit> programs{get_benchmark("adder").circuit,
+                                      get_benchmark("fred").circuit,
+                                      get_benchmark("alu").circuit};
+  ServiceOptions opts = fast_service_options();
+  opts.single_batch = true;
+  opts.order = JobOrder::Fifo;
+  ExecutionService service(d, opts);
+  std::vector<JobHandle> handles;
+  for (const Circuit& c : programs) handles.push_back(service.submit(c));
+  service.flush();
+
+  ParallelOptions popts;
+  popts.exec = opts.exec;
+  Backend backend(d);
+  const BatchReport direct = run_batch_pipeline(backend, programs, {}, popts);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const ProgramReport& r = handles[i].result().report;
+    EXPECT_EQ(r.partition, direct.programs[i].partition) << i;
+    EXPECT_EQ(r.efs, direct.programs[i].efs) << i;
+    EXPECT_EQ(r.counts.data(), direct.programs[i].counts.data()) << i;
+    EXPECT_EQ(handles[i].result().batch.batch_size, programs.size());
+  }
+
+  ExecutionService small(make_line_device(4), opts);
+  const JobHandle a = small.submit(get_benchmark("fred").circuit);  // 3q
+  const JobHandle b = small.submit(get_benchmark("fred").circuit);
+  small.flush();
+  for (const JobHandle& h : {a, b}) {
+    EXPECT_EQ(h.status(), JobStatus::Failed);
+    EXPECT_NE(h.error().find("batch does not fit on"), std::string::npos)
+        << h.error();
+  }
+  EXPECT_EQ(small.stats().jobs_failed, 2u);
+}
+
 TEST(Packer, SingleBatchModeNeverSplits) {
   const Device d = make_line_device(6);
   const QucpPartitioner partitioner;
@@ -819,37 +861,6 @@ TEST(FleetService, ExpectedLatencyDrainsDeterministicallyAcrossInterleavings) {
 
   auto threaded = fleet_service();
   EXPECT_EQ(run_jobs(*threaded, 24, 4), base);
-}
-
-TEST(ExecutionService, RealizedDurationFeedbackPopulatesLaneStats) {
-  // feed_realized_durations on: every executed batch contributes a wall-
-  // clock measurement and the lane's realized/modeled EWMA moves off its
-  // 1.0 seed. The knob changes routing inputs only (an EWMA-scaled backlog
-  // snapshot), never results — and with one flush cycle the backlog
-  // snapshot is zero anyway, so the outcomes must match the modeled-only
-  // service bit for bit.
-  ServiceOptions opts = fast_service_options();
-  ExecutionService modeled(make_toronto27(), opts);
-  const auto base = run_jobs(modeled, 16, 1);
-  const ServiceStats modeled_stats = modeled.stats();
-  EXPECT_EQ(modeled_stats.backends[0].realized_batches, 0u);
-  EXPECT_DOUBLE_EQ(modeled_stats.backends[0].realized_ratio, 1.0);
-  EXPECT_DOUBLE_EQ(modeled_stats.backends[0].realized_exec_sum_s, 0.0);
-
-  opts.feed_realized_durations = true;
-  ExecutionService measured(make_toronto27(), opts);
-  EXPECT_EQ(run_jobs(measured, 16, 1), base);
-  const ServiceStats stats = measured.stats();
-  EXPECT_EQ(stats.backends[0].realized_batches, stats.batches_executed);
-  EXPECT_GT(stats.backends[0].realized_exec_sum_s, 0.0);
-  EXPECT_GT(stats.backends[0].realized_ratio, 0.0);
-  EXPECT_NE(stats.backends[0].realized_ratio, 1.0);
-
-  // A second flush cycle routes on the EWMA-scaled backlog; everything
-  // still drains.
-  const auto second = run_jobs(measured, 16, 1);
-  EXPECT_EQ(second.size(), 16u);
-  EXPECT_EQ(measured.stats().jobs_failed, 0u);
 }
 
 TEST(Backend, TranspileCacheHitsAndEviction) {
